@@ -249,6 +249,8 @@ def _cmd_coh(ns) -> tuple[Report, int, list[str]]:
 
 
 def _cmd_enumerate(ns) -> tuple[Report, int, list[str]]:
+    if ns.kmax < 1:
+        raise InputError(f"--kmax must be >= 1, got {ns.kmax}")
     h = _parse_class_or_type(ns.expression)
     found = enumerate_isotropic(h, ns.kmax)
     payload = {

@@ -16,14 +16,16 @@ The phi invariant of a big nef class H is min E.H over primitive isotropic
 effective E; it satisfies phi(H)^2 <= H.H, so the minimum is realized at
 pairing value at most isqrt(H.H).  The search for all isotropic classes
 with bounded pairing is an exact ellipsoid enumeration in the rank-9
-negative-definite orthogonal complement of H, done over Fraction.
+negative-definite orthogonal complement of H, done in integers: a
+fraction-free factorization once per H, then a Fincke-Pohst search whose
+nodes scale every quantity to a common denominator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 
 from .lattice import DELTA, GRAM, RANK, NumClass, divisibility, inner
 
@@ -171,9 +173,24 @@ class _SliceEnumerator:
     """Enumerates isotropic classes on affine slices {x : H.x = k}.
 
     The complement basis B of H (under the pairing) carries a negative
-    definite form A = B^T G B; on the slice x0 + B t the isotropy condition
-    becomes a positive definite ellipsoid equation in t, solved by exact
-    Fincke-Pohst recursion with a Fraction Cholesky of -A.
+    definite form A = B^T G B.  On the slice x0 + B t the isotropy
+    condition becomes the ellipsoid equation (t - m)^T N (t - m) = radius
+    with N = -A positive definite, written as
+    sum_i d_i ((t_i - m_i) + sum_{j>i} u_ij (t_j - m_j))^2 = radius.
+    x0 and m scale by q = k/g and radius by q^2 from the slice H.x = g, so
+    one fraction-free (Bareiss) elimination of N, augmented by the linear
+    term of that slice, yields all of them once per H.
+
+    With L a common denominator of u and m, and DD one of d, the integers
+    U = L u, M = L m, w = DD d and R = L^4 DD radius turn the equation
+    into sum_i w_i (L^2 t_i - a_i)^2 = R with a_i = L M_i - sum_{j>i} U_ij S_j
+    and S_j = L t_j - M_j.  The Fincke-Pohst recursion over t_8, ..., t_0
+    is then pure integer arithmetic: w_i (L^2 t_i - a_i)^2 <= rem holds
+    exactly when |L^2 t_i - a_i| <= isqrt(rem // w_i), so every window is
+    exact and a leaf is a solution precisely when nothing remains.  Fixing
+    t_i updates the partial sums of all lower a_k at once (Schnorr-Euchner),
+    and the last coordinate is solved for: only t_0 with
+    w_0 (L^2 t_0 - a_0)^2 equal to the remainder can close a solution.
     """
 
     def __init__(self, h: NumClass):
@@ -182,100 +199,115 @@ class _SliceEnumerator:
         self.basis = basis
         n = RANK - 1
         gb = [_gram_times(b) for b in basis]
-        self.neg_a = [
-            [-sum(basis[i][r] * gb[j][r] for r in range(RANK)) for j in range(n)]
-            for i in range(n)
-        ]
-        self._cholesky()
-
-    def _cholesky(self) -> None:
-        # N = -A positive definite; factor q(s) = sum_i d[i]*(s_i + sum_{j>i} u[i][j] s_j)^2
-        n = len(self.neg_a)
-        m = [[Fraction(x) for x in row] for row in self.neg_a]
-        d = [Fraction(0)] * n
-        u = [[Fraction(0)] * n for _ in range(n)]
+        gx = _gram_times(self.x0g)
+        # N = -B^T G B, augmented by the linear term c = B^T G x0 of H.x = g
+        c = [sum(map(mul, b, gx)) for b in basis]
+        a = [[-sum(map(mul, b, gy)) for gy in gb] + [ci] for b, ci in zip(basis, c)]
+        # Bareiss elimination: row i ends as D_i times the i-th Schur-complement
+        # row, with D_i the leading principal minors, so d_i = D_{i+1}/D_i and
+        # u_ij = a[i][j]/D_{i+1}; every division below is exact
+        minor = [1]
         for i in range(n):
-            d[i] = m[i][i]
-            if d[i] <= 0:
+            piv = a[i][i]
+            if piv <= 0:
                 raise ArithmeticError("complement form is not negative definite")
-            for j in range(i + 1, n):
-                u[i][j] = m[i][j] / d[i]
             for r in range(i + 1, n):
-                for c in range(r, n):
-                    m[r][c] -= d[i] * u[i][r] * u[i][c]
-                    m[c][r] = m[r][c]
-        self.d = d
-        self.u = u
+                for j in range(i + 1, n + 1):
+                    a[r][j] = (piv * a[r][j] - a[r][i] * a[i][j]) // minor[i]
+            minor.append(piv)
+        # the center is m = p/det with p = adj(N) c, by back substitution
+        det = minor[n]
+        p = [0] * n
+        for i in reversed(range(n)):
+            row = a[i]
+            tail = sum(row[j] * p[j] for j in range(i + 1, n))
+            p[i] = (det * row[n] - tail) // minor[i + 1]
+        # least common denominators of u and m (L), and of d (DD)
+        big_l = math.lcm(
+            *(
+                minor[i + 1] // math.gcd(a[i][j], minor[i + 1])
+                for i in range(n)
+                for j in range(i + 1, n)
+            ),
+            *(det // math.gcd(x, det) for x in p),
+        )
+        dd = math.lcm(*(minor[i] // math.gcd(minor[i + 1], minor[i]) for i in range(n)))
+        # t^T A t + 2 c.t + e0 = 0 is (t-m)^T N (t-m) = e0 + c.m =: radius
+        e0 = sum(map(mul, self.x0g, gx))
+        num = big_l**4 * dd * (det * e0 + sum(map(mul, c, p)))
+        if num % det:
+            raise ArithmeticError("scaled slice radius is not integral")
+        # R and M = L m on the slice H.x = g
+        self.big_l = big_l
+        self.radius = num // det
+        self.center = [big_l * x // det for x in p]
+        self.w = [dd * minor[i + 1] // minor[i] for i in range(n)]
+        # cols[i][k] = U_ki for k < i: fixing t_i moves every lower a_k
+        self.cols = [
+            [big_l * a[k][i] // minor[k + 1] for k in range(i)] for i in range(n)
+        ]
 
     def solutions(self, k: int) -> list[NumClass]:
         """All x with H.x = k and x.x = 0 (no further filtering)."""
         if k % self.g:
             return []
         q = k // self.g
-        x0 = [q * c for c in self.x0g]
-        gx0 = _gram_times(x0)
-        n = RANK - 1
-        c_vec = [sum(b[r] * gx0[r] for r in range(RANK)) for b in self.basis]
-        e0 = sum(x0[r] * gx0[r] for r in range(RANK))
-        # solve t^T A t + 2 c.t + e0 = 0, i.e. (t-m)^T N (t-m) = e0 + m^T N m
-        m = self._solve_pos_def([Fraction(c) for c in c_vec])
-        radius = Fraction(e0) + sum(
-            Fraction(c_vec[i]) * m[i] for i in range(n)
-        )
-        if radius < 0:
+        rad = q * q * self.radius
+        if rad < 0:
             return []
+        big_l = self.big_l
+        l2 = big_l * big_l
+        cm = [q * x for x in self.center]  # M on this slice
+        w, cols, basis = self.w, self.cols, self.basis
+        w0 = w[0]
+        b0, b1 = basis[0], basis[1]
         out: list[NumClass] = []
-        t = [0] * n
-        self._recurse(n - 1, radius, m, t, out, x0)
+
+        def visit(i: int, rem: int, acc: list[int], pos: list[int]) -> None:
+            # acc[k] = L M_k - sum_{j>i} U_kj S_j for k <= i, so a_i = acc[i];
+            # pos = x0 + sum_{j>i} t_j b_j
+            a = acc[i]
+            wi = w[i]
+            half = math.isqrt(rem // wi)  # exact: |L^2 t_i - a_i| <= half
+            col = cols[i]
+            mi = cm[i]
+            bi = basis[i]
+            for ti in range(-((half - a) // l2), (a + half) // l2 + 1):
+                e = l2 * ti - a
+                r = rem - wi * e * e
+                sj = big_l * ti - mi
+                if i > 1:
+                    visit(
+                        i - 1,
+                        r,
+                        [p - c * sj for p, c in zip(acc, col)],
+                        [p + ti * b for p, b in zip(pos, bi)] if ti else pos,
+                    )
+                    continue
+                # w_0 (L^2 t_0 - a_0)^2 = r leaves at most two candidates
+                if r % w0:
+                    continue
+                root = math.isqrt(r // w0)
+                if root * root * w0 != r:
+                    continue
+                a0 = acc[0] - col[0] * sj
+                for l2t0 in {a0 + root, a0 - root}:
+                    if l2t0 % l2 == 0:
+                        t0 = l2t0 // l2
+                        xs = [p + ti * c + t0 * b for p, c, b in zip(pos, b1, b0)]
+                        out.append(NumClass(tuple(xs)))
+
+        visit(RANK - 2, rad, [big_l * x for x in cm], [q * x for x in self.x0g])
         return out
 
-    def _solve_pos_def(self, c: list[Fraction]) -> list[Fraction]:
-        # N m = c via the Cholesky factors (forward then diagonal then back)
-        n = len(c)
-        d, u = self.d, self.u
-        y = list(c)
-        for i in range(n):
-            for j in range(i + 1, n):
-                y[j] -= u[i][j] * y[i]
-        for i in range(n):
-            y[i] /= d[i]
-        for i in range(n - 1, -1, -1):
-            for j in range(i + 1, n):
-                y[i] -= u[i][j] * y[j]
-        return y
 
-    def _recurse(
-        self,
-        i: int,
-        rem: Fraction,
-        m: list[Fraction],
-        t: list[int],
-        out: list[NumClass],
-        x0: list[int],
-    ) -> None:
-        if i < 0:
-            if rem == 0:
-                coords = list(x0)
-                for j, tj in enumerate(t):
-                    if tj:
-                        b = self.basis[j]
-                        for r in range(RANK):
-                            coords[r] += tj * b[r]
-                out.append(NumClass(tuple(coords)))
-            return
-        center = m[i] - sum(self.u[i][j] * (t[j] - m[j]) for j in range(i + 1, len(t)))
-        bound = rem / self.d[i]
-        # conservative integer window around center: sqrt(bound) < (isqrt(p*q)+1)/q
-        p, q = bound.numerator, bound.denominator
-        r_up = Fraction(math.isqrt(p * q) + 1, q)
-        lo = math.ceil(center - r_up)
-        hi = math.floor(center + r_up)
-        for ti in range(lo, hi + 1):
-            t[i] = ti
-            step = self.d[i] * (ti - center) ** 2
-            if step <= rem:
-                self._recurse(i - 1, rem - step, m, t, out, x0)
-        t[i] = 0
+def _primitive_layer(enum: _SliceEnumerator, k: int) -> list[NumClass]:
+    """Primitive effective solutions on the slice H.x = k, sorted by coordinates."""
+    layer = [
+        x for x in enum.solutions(k) if inner(x, DELTA) > 0 and divisibility(x) == 1
+    ]
+    layer.sort(key=lambda x: x.coords)
+    return layer
 
 
 def enumerate_isotropic(h: PicClass, kmax: int) -> list[NumClass]:
@@ -294,13 +326,7 @@ def enumerate_isotropic(h: PicClass, kmax: int) -> list[NumClass]:
     enum = _SliceEnumerator(h.num)
     found: list[NumClass] = []
     for k in range(1, kmax + 1):
-        layer = [
-            x
-            for x in enum.solutions(k)
-            if inner(x, DELTA) > 0 and divisibility(x) == 1
-        ]
-        layer.sort(key=lambda x: x.coords)
-        found.extend(layer)
+        found.extend(_primitive_layer(enum, k))
     return found
 
 
@@ -308,19 +334,18 @@ def phi(h: PicClass) -> PhiResult:
     """min E.H over primitive isotropic effective E, with a witness.
 
     Requires H effective of positive square.  phi(H)^2 <= H.H guarantees
-    a witness with E.H <= isqrt(H.H); ties go to the lexicographically
-    smallest coordinate vector.  The witness is returned with torsion bit
-    0 (both torsion lifts of a half-fiber class are effective).
+    a witness with E.H <= isqrt(H.H), so the slices k = 1, 2, ... are
+    searched in turn and the first non-empty one gives the value; ties go
+    to the lexicographically smallest coordinate vector.  The witness is
+    returned with torsion bit 0 (both torsion lifts of a half-fiber class
+    are effective).
     """
     sq = h.square
     if sq <= 0 or not is_effective(h):
         raise ValueError("phi needs an effective class of positive square")
-    kmax = math.isqrt(sq)
-    candidates = enumerate_isotropic(h, kmax)
-    if not candidates:
-        raise ArithmeticError("no isotropic class found below isqrt(H.H)")
-    best = min(inner(x, h.num) for x in candidates)
-    witness = min(
-        (x for x in candidates if inner(x, h.num) == best), key=lambda x: x.coords
-    )
-    return PhiResult(best, PicClass(witness, 0))
+    enum = _SliceEnumerator(h.num)
+    for k in range(1, math.isqrt(sq) + 1):
+        layer = _primitive_layer(enum, k)
+        if layer:
+            return PhiResult(k, PicClass(layer[0], 0))
+    raise ArithmeticError("no isotropic class found below isqrt(H.H)")

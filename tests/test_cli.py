@@ -125,6 +125,14 @@ def test_enumerate():
     assert all(row["pairing"] == 1 for row in rep["payload"]["classes"])
 
 
+@pytest.mark.parametrize("kmax", ["0", "-3"])
+def test_enumerate_rejects_nonpositive_kmax(kmax):
+    code, rep = run_json(["enumerate", "num[0,1,1,0,0,0,0,0,0,0]", "--kmax", kmax])
+    assert code == USAGE
+    assert rep["status"] == "error"
+    assert "--kmax" in rep["message"]
+
+
 @pytest.mark.parametrize("scope", ["bounds", "phi3plus", "phi2", "phi1", "triple"])
 def test_verify_tables_scopes_pass(scope):
     code, out = run_cli(["verify-tables", "--scope", scope])

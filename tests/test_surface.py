@@ -16,6 +16,7 @@ from enriques_invariants.lattice import (
 )
 from enriques_invariants.surface import (
     CANONICAL,
+    PhiResult,
     PicClass,
     enumerate_isotropic,
     genus,
@@ -140,6 +141,40 @@ def test_enumerate_output_contract(num, kmax):
     # sorted by pairing first
     pairings = [inner(v, h.num) for v in got]
     assert pairings == sorted(pairings)
+
+
+# counts measured with the earlier Fraction-based enumerator
+@pytest.mark.parametrize("kmax, count", [(2, 242), (3, 4562), (4, 35282)])
+def test_enumerate_counts_f1_plus_f2(kmax, count):
+    assert len(enumerate_isotropic(PicClass(F[1] + F[2], 0), kmax)) == count
+
+
+def _permute(v, perm):
+    # perm reorders f1..f9, an isometry of the lattice that fixes D
+    return NumClass((v.coords[0],) + tuple(v.coords[1 + p] for p in perm))
+
+
+@given(fiber_combos, st.permutations(range(9)), st.integers(min_value=1, max_value=3))
+@settings(max_examples=30, deadline=None)
+def test_enumerate_commutes_with_permuting_f1_to_f9(num, perm, kmax):
+    # the complement basis of the permuted class differs, so a point the
+    # search missed on one side shows up as a mismatch
+    assume(num.square > 0)
+    got = enumerate_isotropic(PicClass(_permute(num, perm), 0), kmax)
+    want = enumerate_isotropic(PicClass(num, 0), kmax)
+    assert len(got) == len(want)
+    assert set(got) == {_permute(v, perm) for v in want}
+
+
+@given(fiber_combos)
+@settings(max_examples=40, deadline=None)
+def test_phi_is_least_pairing_over_enumeration(num):
+    h = PicClass(num, 0)
+    assume(num.square > 0)
+    found = enumerate_isotropic(h, math.isqrt(num.square))
+    best = min(inner(x, num) for x in found)
+    witness = min((x for x in found if inner(x, num) == best), key=lambda x: x.coords)
+    assert phi(h) == PhiResult(best, PicClass(witness, 0))
 
 
 @given(fiber_combos)
