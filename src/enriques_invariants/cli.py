@@ -253,17 +253,15 @@ def _cmd_enumerate(ns) -> tuple[Report, int, list[str]]:
         raise InputError(f"--kmax must be >= 1, got {ns.kmax}")
     h = _parse_class_or_type(ns.expression)
     found = enumerate_isotropic(h, ns.kmax)
+    rows = [{"pairing": inner(x, h.num), "class": str(x)} for x in found]
     payload = {
         "class": str(h),
         "kmax": ns.kmax,
         "count": len(found),
-        "classes": [
-            {"pairing": inner(x, h.num), "class": str(x)} for x in found
-        ],
+        "classes": rows,
     }
     lines = [f"{len(found)} primitive isotropic classes with pairing <= {ns.kmax}:"]
-    for x in found:
-        lines.append(f"  k={inner(x, h.num)}  {x}")
+    lines += [f"  k={r['pairing']}  {r['class']}" for r in rows]
     return Report("enumerate", payload), OK, lines
 
 

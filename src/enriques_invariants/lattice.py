@@ -10,12 +10,20 @@ which is convenient because the ten classes f1, ..., f9 and
 f10 = 3D - f1 - ... - f9 form an isotropic 10-sequence (fi.fj = 1 for
 i != j) and every class we care about is a small integer combination of
 them.  All routines are exact integer computations.
+
+A class is validated once, where it enters: the public NumClass(...)
+constructor checks that it has ten integer coordinates.  Sums, differences,
+negatives and integer multiples of valid classes are valid by construction,
+so they, and the few internal sites whose coordinates are provably ten
+integers, build their result with the unchecked NumClass._of.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
+from operator import add, mul, neg, sub
 
 RANK = 10
 
@@ -47,7 +55,13 @@ GRAM = basis_gram()
 
 @dataclass(frozen=True)
 class NumClass:
-    """Numerical divisor class: integer coordinates in the fixed basis."""
+    """Numerical divisor class: integer coordinates in the fixed basis.
+
+    NumClass(coords) validates: it raises ValueError unless there are ten
+    coordinates and TypeError unless all are integers.  NumClass._of skips
+    those checks and is only for coordinates known to be a tuple of ten
+    integers, such as the results of arithmetic on valid classes.
+    """
 
     coords: tuple[int, ...]
 
@@ -57,6 +71,13 @@ class NumClass:
         if not all(isinstance(c, int) for c in self.coords):
             raise TypeError("coordinates must be integers")
 
+    @classmethod
+    def _of(cls, coords: tuple[int, ...]) -> "NumClass":
+        """Unchecked constructor: coords must already be ten integers."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "coords", coords)
+        return obj
+
     @staticmethod
     def zero() -> "NumClass":
         return _ZERO
@@ -65,18 +86,18 @@ class NumClass:
         return any(self.coords)
 
     def __add__(self, other: "NumClass") -> "NumClass":
-        return NumClass(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return NumClass._of(tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other: "NumClass") -> "NumClass":
-        return NumClass(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return NumClass._of(tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self) -> "NumClass":
-        return NumClass(tuple(-a for a in self.coords))
+        return NumClass._of(tuple(map(neg, self.coords)))
 
     def __mul__(self, k: int) -> "NumClass":
         if not isinstance(k, int):
             return NotImplemented
-        return NumClass(tuple(k * a for a in self.coords))
+        return NumClass._of(tuple([k * a for a in self.coords]))
 
     __rmul__ = __mul__
 
@@ -98,11 +119,26 @@ def inner(a: NumClass, b: NumClass) -> int:
     Expanded form of x^T G y for the structured Gram matrix above; the
     closed form avoids the 10x10 double loop.
     """
-    a0, b0 = a.coords[0], b.coords[0]
-    sa = sum(a.coords[1:])
-    sb = sum(b.coords[1:])
-    dot = sum(x * y for x, y in zip(a.coords[1:], b.coords[1:]))
-    return 10 * a0 * b0 + 3 * (a0 * sb + b0 * sa) + sa * sb - dot
+    x, y = a.coords, b.coords
+    x0, y0 = x[0], y[0]
+    sa = sum(x) - x0
+    sb = sum(y) - y0
+    dot = sum(map(mul, x, y)) - x0 * y0
+    return 10 * x0 * y0 + 3 * (x0 * sb + y0 * sa) + sa * sb - dot
+
+
+# f1..f10, and the 45 classes D - fi - fj at [i-1][j-1] and [j-1][i-1];
+# built once at import and shared, which is safe because NumClass is
+# immutable
+_ISOTROPIC = tuple(
+    NumClass(tuple(int(k == i) for k in range(RANK))) for i in range(1, 10)
+) + (NumClass((3,) + (-1,) * 9),)
+_TWO_ISOTROPIC: list[list[NumClass | None]] = [[None] * 10 for _ in range(10)]
+for _i, _j in combinations(range(10), 2):
+    _TWO_ISOTROPIC[_i][_j] = _TWO_ISOTROPIC[_j][_i] = (
+        DELTA - _ISOTROPIC[_i] - _ISOTROPIC[_j]
+    )
+del _i, _j
 
 
 def isotropic_generator(i: int) -> NumClass:
@@ -113,18 +149,16 @@ def isotropic_generator(i: int) -> NumClass:
     """
     if not 1 <= i <= 10:
         raise ValueError("index must be in 1..10")
-    if i <= 9:
-        coords = [0] * RANK
-        coords[i] = 1
-        return NumClass(tuple(coords))
-    return NumClass((3,) + (-1,) * 9)
+    return _ISOTROPIC[i - 1]
 
 
 def two_isotropic_generator(i: int, j: int) -> NumClass:
     """The isotropic class D - fi - fj (i != j), pairing 2 with fi and fj."""
     if i == j:
         raise ValueError("indices must be distinct")
-    return DELTA - isotropic_generator(i) - isotropic_generator(j)
+    if not (1 <= i <= 10 and 1 <= j <= 10):
+        raise ValueError("index must be in 1..10")
+    return _TWO_ISOTROPIC[i - 1][j - 1]
 
 
 def divisibility(a: NumClass) -> int:

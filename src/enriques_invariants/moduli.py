@@ -33,13 +33,13 @@ numerically against the actual class rather than trusting the shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .lattice import (
+    NumClass,
     divisibility,
     inner,
     isotropic_generator,
-    two_isotropic_generator,
 )
 from .surface import PicClass, enumerate_isotropic, is_effective, is_nef
 from .cohomology import CohTriple, MultCert, k3_coh
@@ -395,18 +395,41 @@ def _replay_transverse(
     return None
 
 
+# The five-transverse search draws its F's from a fixed pool of 55 classes,
+# the realizations of the 55 symbols: f1..f10, then D - fi - fj for i < j in
+# lexicographic order.  The order decides which pair is tried first, and so
+# the certificate.  Bit n of _FIVE_TRANSVERSE[s] is set when _FIVE_POOL[n]
+# pairs to 1 with the realization of s; the pairing is symmetric, so each
+# pair of pool members is paired once.
+_FIVE_SYMBOLS = tuple(Symbol((i,)) for i in range(1, 11)) + tuple(
+    Symbol((i, j)) for i in range(1, 10) for j in range(i + 1, 11)
+)
+_FIVE_POOL = tuple(s.realize() for s in _FIVE_SYMBOLS)
+_masks = [0] * len(_FIVE_POOL)
+for _m, _n in combinations(range(len(_FIVE_POOL)), 2):
+    if inner(_FIVE_POOL[_m], _FIVE_POOL[_n]) == 1:
+        _masks[_m] |= 1 << _n
+        _masks[_n] |= 1 << _m
+_FIVE_TRANSVERSE = dict(zip(_FIVE_SYMBOLS, _masks))
+del _masks, _m, _n
+
+
+def _five_candidates(picks: list[Symbol]) -> list[NumClass]:
+    """Pool members pairing to 1 with every pick, in pool order."""
+    mask = (1 << len(_FIVE_POOL)) - 1
+    for s in picks:
+        mask &= _FIVE_TRANSVERSE[s]
+    return [v for m, v in enumerate(_FIVE_POOL) if mask >> m & 1]
+
+
 def _replay_five(d: DecompositionType, h: PicClass, picks: list[Symbol]) -> H1Interval | None:
-    img = [s.realize() for s in picks]
-    pool = [isotropic_generator(i) for i in range(1, 11)]
-    pool += [
-        two_isotropic_generator(i, j)
-        for i in range(1, 10)
-        for j in range(i + 1, 11)
-    ]
-    cands = [v for v in pool if all(inner(v, w) == 1 for w in img)]
+    # the pool and its pairings with the symbols are the module constants
+    # _FIVE_POOL and _FIVE_TRANSVERSE above; only the selection runs here
+    cands = _five_candidates(picks)
     if len(cands) < 2:
         # widen the pool: every isotropic class pairing at most 2 with H
         # per coefficient has bounded pairing with H
+        img = [s.realize() for s in picks]
         kmax = 2 * sum(c for c, _ in d.terms)
         seen = {v.coords for v in cands}
         for v in enumerate_isotropic(h, kmax):

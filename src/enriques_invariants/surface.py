@@ -100,7 +100,7 @@ def half_fiber_form(d: PicClass) -> tuple[int, NumClass, int] | None:
     if not d.num or inner(d.num, d.num) != 0:
         return None
     l = divisibility(d.num)
-    e0 = NumClass(tuple(c // l for c in d.num.coords))
+    e0 = NumClass._of(tuple([c // l for c in d.num.coords]))
     if inner(e0, DELTA) < 0:
         return None
     return l, e0, d.eps
@@ -295,7 +295,7 @@ class _SliceEnumerator:
                     if l2t0 % l2 == 0:
                         t0 = l2t0 // l2
                         xs = [p + ti * c + t0 * b for p, c, b in zip(pos, b1, b0)]
-                        out.append(NumClass(tuple(xs)))
+                        out.append(NumClass._of(tuple(xs)))
 
         visit(RANK - 2, rad, [big_l * x for x in cm], [q * x for x in self.x0g])
         return out

@@ -1,6 +1,7 @@
 """Tests for the rank-10 even unimodular lattice of signature (1,9)."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -142,3 +143,65 @@ def test_even(a):
 @given(classes)
 def test_neg_square(a):
     assert (-a).square == a.square
+
+
+def _unit(i):
+    return NumClass(tuple(int(k == i) for k in range(RANK)))
+
+
+def test_generator_tables_match_from_scratch_classes():
+    f = [None] + [_unit(i) for i in range(1, 10)] + [NumClass((3,) + (-1,) * 9)]
+    for i in range(1, 11):
+        assert isotropic_generator(i) == f[i]
+        for j in range(1, 11):
+            if i != j:
+                assert two_isotropic_generator(i, j) == NumClass(
+                    tuple(d - a - b for d, a, b in zip(DELTA.coords, f[i].coords, f[j].coords))
+                )
+
+
+@pytest.mark.parametrize("i", [0, 11, -1])
+def test_isotropic_generator_rejects_out_of_range(i):
+    with pytest.raises(ValueError):
+        isotropic_generator(i)
+
+
+@pytest.mark.parametrize("i,j", [(0, 1), (1, 11), (-1, 2), (3, 3)])
+def test_two_isotropic_generator_rejects_bad_indices(i, j):
+    with pytest.raises(ValueError):
+        two_isotropic_generator(i, j)
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(ValueError):
+        NumClass((0,) * 9)
+    with pytest.raises(TypeError):
+        NumClass((0,) * 9 + (Fraction(1, 2),))
+    with pytest.raises(TypeError):
+        NumClass((0,) * 9 + ("1",))
+
+
+def _same_class(got, coords):
+    want = NumClass(tuple(coords))
+    assert type(got) is NumClass
+    assert got == want and hash(got) == hash(want)
+    assert all(type(c) is int for c in got.coords)
+
+
+wide = st.tuples(*[st.integers(min_value=-(10**12), max_value=10**12)] * 10)
+
+
+@given(wide, wide, st.integers(min_value=-(10**6), max_value=10**6))
+def test_arithmetic_results_equal_validated_classes(x, y, k):
+    a, b = NumClass(x), NumClass(y)
+    _same_class(a + b, (p + q for p, q in zip(x, y)))
+    _same_class(a - b, (p - q for p, q in zip(x, y)))
+    _same_class(-a, (-p for p in x))
+    _same_class(k * a, (k * p for p in x))
+    _same_class(a * k, (k * p for p in x))
+
+
+@given(wide, wide)
+def test_inner_matches_gram_double_sum(x, y):
+    want = sum(x[i] * GRAM[i][j] * y[j] for i in range(RANK) for j in range(RANK))
+    assert inner(NumClass(x), NumClass(y)) == want

@@ -1,22 +1,28 @@
 """Tests for the twisted-tangent-bundle bounds and moduli fiber dimensions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enriques_invariants.cohomology import k3_coh
 from enriques_invariants.decomposition import (
+    Symbol,
     all_tabulated_components,
     component_of,
     components,
+    pairing,
     parse,
     realize,
 )
 from enriques_invariants.lattice import (
+    inner,
     isotropic_generator,
     two_isotropic_generator,
 )
 from enriques_invariants.moduli import (
     BOUND_TABLE,
     H1Interval,
+    _five_candidates,
     alpha,
     beta_bounds,
     enriques_split,
@@ -387,3 +393,54 @@ def test_extendability_caps():
 def test_extendability_rejects_low_phi():
     with pytest.raises(ValueError):
         extendability_cap(components(5, 2)[0])
+
+
+def _symbols():
+    singles = [Symbol((i,)) for i in range(1, 11)]
+    return singles + [Symbol((i, j)) for i in range(1, 10) for j in range(i + 1, 11)]
+
+
+def _transverse_subsets(size):
+    syms = _symbols()
+    out = []
+
+    def grow(start, chosen):
+        if len(chosen) == size:
+            out.append(tuple(chosen))
+            return
+        for t in range(start, len(syms)):
+            if all(pairing(syms[t], s) == 1 for s in chosen):
+                grow(t + 1, chosen + [syms[t]])
+
+    grow(0, [])
+    return out
+
+
+def _five_candidates_by_loop(picks):
+    # the loop the five-transverse search used before its pool became a
+    # module constant: rebuild the pool and filter it with inner
+    img = [s.realize() for s in picks]
+    pool = [isotropic_generator(i) for i in range(1, 11)]
+    pool += [
+        two_isotropic_generator(i, j) for i in range(1, 10) for j in range(i + 1, 11)
+    ]
+    return [v for v in pool if all(inner(v, w) == 1 for w in img)]
+
+
+_FIVE_SUBSETS = _transverse_subsets(5)
+
+
+def test_five_transverse_subset_count():
+    assert len(_FIVE_SUBSETS) == 38682
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_five_candidates_match_loop_on_small_picks(size):
+    for picks in _transverse_subsets(size):
+        assert _five_candidates(list(picks)) == _five_candidates_by_loop(picks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_FIVE_SUBSETS))
+def test_five_candidates_match_loop(picks):
+    assert _five_candidates(list(picks)) == _five_candidates_by_loop(picks)
