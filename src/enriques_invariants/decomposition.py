@@ -73,14 +73,16 @@ def pairing(s: Symbol, t: Symbol) -> int:
     pair, else 1.  Pair-pair: 1 when the index sets overlap, 2 when they
     are disjoint.  Matches the lattice pairing of the realized classes.
     """
-    if s == t:
+    a, b = s.indices, t.indices
+    if a == b:
         return 0
-    a, b = set(s.indices), set(t.indices)
-    if len(s.indices) == 1 and len(t.indices) == 1:
-        return 1
-    if len(s.indices) != len(t.indices):
-        return 2 if a & b else 1
-    return 1 if a & b else 2
+    if len(a) == 1:
+        if len(b) == 1:
+            return 1
+        return 2 if a[0] in b else 1
+    if len(b) == 1:
+        return 2 if b[0] in a else 1
+    return 1 if a[0] in b or a[1] in b else 2
 
 
 @dataclass(frozen=True)

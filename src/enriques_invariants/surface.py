@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .lattice import DELTA, GRAM, RANK, NumClass, divisibility, inner
+from .lattice import DELTA, RANK, NumClass, divisibility, inner
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,11 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _gram_times(v: list[int] | tuple[int, ...]) -> list[int]:
-    return [sum(GRAM[i][j] * v[j] for j in range(RANK)) for i in range(RANK)]
+    """G v for the Gram matrix G of {D, f1..f9}, in closed form (see lattice.py)."""
+    v0 = v[0]
+    s = sum(v) - v0
+    t = 3 * v0 + s
+    return [10 * v0 + 3 * s] + [t - vi for vi in v[1:]]
 
 
 class _SliceEnumerator:

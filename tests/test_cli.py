@@ -171,3 +171,15 @@ def test_json_round_trip_stability():
     _, first = run_json(["analyze", "4E1+3E2"])
     _, second = run_json(["analyze", "4E1+3E2"])
     assert first == second
+
+
+def test_parser_reuse_leaks_no_option_state():
+    # one process, one parser: options of earlier calls must not reach later ones
+    first = run_cli(["analyze", "4E1+3E2", "--json"])
+    code, text = run_cli(["analyze", "4E1+3E2"])
+    assert code == OK and text.startswith("type: ") and '"payload"' not in text
+    assert run_cli(["verify-tables", "--scope", "nonsense"])[0] == USAGE
+    assert run_cli(["enumerate", "num[0,1,1,0,0,0,0,0,0,0]", "--kmax", "0"])[0] == USAGE
+    last = run_cli(["analyze", "4E1+3E2", "--json"])
+    assert first[0] == OK and json.loads(first[1])["status"] == "ok"
+    assert last == first

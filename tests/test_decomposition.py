@@ -79,9 +79,12 @@ def test_pairing_rules():
 def test_pairing_matches_realized_classes():
     from enriques_invariants.lattice import inner
 
-    syms = [Symbol((1,)), Symbol((10,)), Symbol((1, 2)), Symbol((2, 3)), Symbol((4, 5))]
-    for s, t in itertools.combinations(syms, 2):
-        assert pairing(s, t) == inner(s.realize(), t.realize())
+    # all 55 symbols, every ordered pair, the diagonal (s == t -> 0) included
+    syms = [Symbol((i,)) for i in range(1, 11)]
+    syms += [Symbol(ij) for ij in itertools.combinations(range(1, 11), 2)]
+    assert len(syms) == 55
+    for s, t in itertools.product(syms, repeat=2):
+        assert pairing(s, t) == inner(s.realize(), t.realize()), (s, t)
 
 
 def test_validate_shapes():

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from enriques_invariants.lattice import (
     DELTA,
+    GRAM,
+    RANK,
     NumClass,
     divisibility,
     inner,
@@ -18,6 +20,7 @@ from enriques_invariants.surface import (
     CANONICAL,
     PhiResult,
     PicClass,
+    _gram_times,
     enumerate_isotropic,
     genus,
     half_fiber_form,
@@ -147,6 +150,13 @@ def test_enumerate_output_contract(num, kmax):
 @pytest.mark.parametrize("kmax, count", [(2, 242), (3, 4562), (4, 35282)])
 def test_enumerate_counts_f1_plus_f2(kmax, count):
     assert len(enumerate_isotropic(PicClass(F[1] + F[2], 0), kmax)) == count
+
+
+@given(st.tuples(*[st.integers(min_value=-(10**12), max_value=10**12)] * 10))
+def test_gram_times_matches_gram_double_loop(v):
+    want = [sum(GRAM[i][j] * v[j] for j in range(RANK)) for i in range(RANK)]
+    assert _gram_times(v) == want
+    assert _gram_times(list(v)) == want
 
 
 def _permute(v, perm):
