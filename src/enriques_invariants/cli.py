@@ -21,8 +21,9 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
+from operator import mul
 
-from .lattice import NumClass, RANK, inner
+from .lattice import NumClass, RANK, gram_times
 from .surface import PicClass, enumerate_isotropic, genus, phi
 from .cohomology import coh, k3_coh
 from .decomposition import (
@@ -257,7 +258,9 @@ def _cmd_enumerate(ns) -> tuple[Report, int, list[str]]:
         raise InputError(f"--kmax must be >= 1, got {ns.kmax}")
     h = _parse_class_or_type(ns.expression)
     found = enumerate_isotropic(h, ns.kmax)
-    rows = [{"pairing": inner(x, h.num), "class": str(x)} for x in found]
+    # x.H is the dot product of x with G H, which is computed once
+    gh = gram_times(h.num.coords)
+    rows = [{"pairing": sum(map(mul, x.coords, gh)), "class": str(x)} for x in found]
     payload = {
         "class": str(h),
         "kmax": ns.kmax,

@@ -53,6 +53,18 @@ def basis_gram() -> tuple[tuple[int, ...], ...]:
 GRAM = basis_gram()
 
 
+def gram_times(v: list[int] | tuple[int, ...]) -> list[int]:
+    """G v for the Gram matrix G above, in closed form.
+
+    The pairing of x with v is then the dot product of x with G v, so a
+    caller pairing many classes with one v computes G v once.
+    """
+    v0 = v[0]
+    s = sum(v) - v0
+    t = 3 * v0 + s
+    return [10 * v0 + 3 * s] + [t - vi for vi in v[1:]]
+
+
 @dataclass(frozen=True)
 class NumClass:
     """Numerical divisor class: integer coordinates in the fixed basis.
@@ -106,9 +118,13 @@ class NumClass:
         return inner(self, self)
 
     def __str__(self) -> str:
-        return "num[" + ",".join(str(c) for c in self.coords) + "]"
+        return _NUM_FORMAT % self.coords
 
 
+# one %d slot per coordinate; the coordinates are ints, so %d prints them
+# exactly as str() does
+COORDS_FORMAT = ",".join(["%d"] * RANK)
+_NUM_FORMAT = "num[" + COORDS_FORMAT + "]"
 _ZERO = NumClass((0,) * RANK)
 DELTA = NumClass((1,) + (0,) * 9)
 

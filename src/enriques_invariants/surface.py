@@ -16,9 +16,13 @@ The phi invariant of a big nef class H is min E.H over primitive isotropic
 effective E; it satisfies phi(H)^2 <= H.H, so the minimum is realized at
 pairing value at most isqrt(H.H).  The search for all isotropic classes
 with bounded pairing is an exact ellipsoid enumeration in the rank-9
-negative-definite orthogonal complement of H, done in integers: a
-fraction-free factorization once per H, then a Fincke-Pohst search whose
-nodes scale every quantity to a common denominator.
+negative-definite orthogonal complement of H, done in integers.  Once per
+H, the complement basis is LLL-reduced (Lenstra-Lenstra-Lovasz 1982, in
+the integral form of Cohen, GTM 138, Alg. 2.6.7), and the leading minors
+d_k and integral Gram-Schmidt coefficients lambda_kj that the reduction
+ends with are the fraction-free factorization of the complement form.  A
+Fincke-Pohst search then scales every quantity at its nodes to a common
+denominator.
 """
 
 from __future__ import annotations
@@ -27,7 +31,15 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .lattice import DELTA, RANK, NumClass, divisibility, inner
+from .lattice import (
+    COORDS_FORMAT,
+    DELTA,
+    RANK,
+    NumClass,
+    divisibility,
+    gram_times,
+    inner,
+)
 
 
 @dataclass(frozen=True)
@@ -63,7 +75,10 @@ class PicClass:
         return inner(self.num, self.num)
 
     def __str__(self) -> str:
-        return "pic[" + ",".join(str(c) for c in self.num.coords) + f";{self.eps}]"
+        return _PIC_FORMAT % (*self.num.coords, self.eps)
+
+
+_PIC_FORMAT = "pic[" + COORDS_FORMAT + ";%d]"
 
 
 CANONICAL = PicClass(NumClass.zero(), 1)
@@ -119,17 +134,29 @@ class PhiResult:
 def _solve_linear_form(w: tuple[int, ...]) -> tuple[int, list[int], list[list[int]]]:
     """Integer solution theory for the form w.x.
 
-    Returns (g, x0, kernel) with g = gcd(w), w.x0 = g, and kernel a basis
+    Returns (g, x0, kernel) with g = +-gcd(w), w.x0 = g, and kernel a basis
     of the rank-(RANK-1) sublattice {x : w.x = 0}.  Built by folding xgcd
-    over the coordinates; each fold keeps w.sol = running gcd.
+    over the coordinates; each fold keeps w.sol = running gcd.  A
+    coordinate whose weight repeats an earlier one, w_i = w_j with j < i,
+    contributes e_i - e_j instead: the running gcd divides w_j, so this is
+    the fold's vector for i up to earlier kernel vectors, and it is short.
+    Those vectors come first, which leaves the LLL reduction of the kernel
+    less to do.
     """
     sol = [0] * RANK
+    short: list[list[int]] = []
     kernel: list[list[int]] = []
+    first: dict[int, int] = {}
     g = 0
     for i in range(RANK):
         wi = w[i]
         ei = [0] * RANK
         ei[i] = 1
+        j = first.setdefault(wi, i)
+        if wi and j < i:
+            ei[j] = -1
+            short.append(ei)
+            continue
         if g == 0:
             if wi == 0:
                 kernel.append(ei)
@@ -150,7 +177,7 @@ def _solve_linear_form(w: tuple[int, ...]) -> tuple[int, list[int], list[list[in
         g, sol = gg, new_sol
     if g == 0:
         raise ValueError("zero form")
-    return g, sol, kernel
+    return g, sol, short + kernel
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -165,12 +192,82 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _gram_times(v: list[int] | tuple[int, ...]) -> list[int]:
-    """G v for the Gram matrix G of {D, f1..f9}, in closed form (see lattice.py)."""
-    v0 = v[0]
-    s = sum(v) - v0
-    t = 3 * v0 + s
-    return [10 * v0 + 3 * s] + [t - vi for vi in v[1:]]
+def _reduce_basis(
+    basis: list[list[int]],
+) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    """LLL-reduce a basis under the form N(x, y) = -x.G.y (Cohen, Alg. 2.6.7).
+
+    Integral LLL with delta = 3/4 (Lenstra-Lenstra-Lovasz 1982), in
+    integers only.  b[k] is size-reduced against every earlier vector
+    before the Lovasz test, so a swap moves down a vector that is already
+    reduced against the ones below it.  Returns (b, d, lam) for the reduced
+    basis b: d[k] is the Gram determinant of b[0..k-1] (d[0] = 1), and for
+    j < k, lam[k][j] = d[j+1] * mu_kj is the integral Gram-Schmidt
+    coefficient.
+    On return |2 lam[k][j]| <= d[j+1] (size reduction) and
+    4 d[k+1] d[k-1] >= 3 d[k]^2 - 4 lam[k][k-1]^2 (Lovasz condition).
+    Every division is exact.  The input list is not modified.
+
+    Raises ArithmeticError unless N is positive definite on the span: when
+    index k is first reached, b[0..k] spans what the input's first k + 1
+    vectors span, so d[k+1] is the input's leading minor (Sylvester), and
+    swaps keep every d positive.
+    """
+    b = list(basis)
+    n = len(b)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    k, kmax = 0, -1
+    while k < n:
+        lk = lam[k]
+        if k > kmax:
+            # incremental Gram-Schmidt of the first new vector: this is the
+            # fraction-free elimination of its Gram column
+            kmax = k
+            gk = gram_times(b[k])
+            for j in range(k + 1):
+                u = -sum(map(mul, b[j], gk))
+                lj = lam[j]
+                for i in range(j):
+                    u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
+                if j < k:
+                    lk[j] = u
+                elif u <= 0:
+                    raise ArithmeticError("complement form is not negative definite")
+                else:
+                    d[k + 1] = u
+            if k == 0:
+                k = 1
+                continue
+        # size-reduce b[k]: b[k] -= q b[l] with q nearest to lam[k][l] / d[l+1]
+        for l in range(k - 1, -1, -1):
+            dl = d[l + 1]
+            if 2 * abs(lk[l]) > dl:
+                q = (2 * lk[l] + dl) // (2 * dl)
+                b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+                lk[l] -= q * dl
+                ll = lam[l]
+                for i in range(l):
+                    lk[i] -= q * ll[i]
+        lm = lk[k - 1]
+        dk, dk1 = d[k], d[k + 1]
+        if 4 * dk1 * d[k - 1] < 3 * dk * dk - 4 * lm * lm:
+            # Lovasz condition fails: swap b[k-1] and b[k], update d[k] and
+            # the coefficients of the later vectors already reached
+            b[k - 1], b[k] = b[k], b[k - 1]
+            lo = lam[k - 1]
+            lo[: k - 1], lk[: k - 1] = lk[: k - 1], lo[: k - 1]
+            big_b = (d[k - 1] * dk1 + lm * lm) // dk
+            for i in range(k + 1, kmax + 1):
+                li = lam[i]
+                t = li[k]
+                li[k] = (dk1 * li[k - 1] - lm * t) // dk
+                li[k - 1] = (big_b * t + lm * li[k]) // dk1
+            d[k] = big_b
+            k = max(1, k - 1)
+            continue
+        k += 1
+    return b, d, lam
 
 
 class _SliceEnumerator:
@@ -182,8 +279,18 @@ class _SliceEnumerator:
     with N = -A positive definite, written as
     sum_i d_i ((t_i - m_i) + sum_{j>i} u_ij (t_j - m_j))^2 = radius.
     x0 and m scale by q = k/g and radius by q^2 from the slice H.x = g, so
-    one fraction-free (Bareiss) elimination of N, augmented by the linear
-    term of that slice, yields all of them once per H.
+    all of them are computed once per H.
+
+    The xgcd kernel basis of H.x = 0 is skewed, which makes the ellipsoid
+    long and thin in t and the search tree wide.  It is LLL-reduced under
+    N first (Lenstra-Lenstra-Lovasz 1982; Cohen, GTM 138, Alg. 2.6.7, in
+    integers).  That reduction ends with the leading minors D_k of N and
+    the integral Gram-Schmidt coefficients lam_ji = D_{i+1} u_ij of the
+    reduced basis, which are exactly what a fraction-free (Bareiss)
+    elimination of N would produce: d_i = D_{i+1}/D_i and
+    u_ij = lam_ji/D_{i+1}.  Only the linear term c = B^T G x0 of the slice
+    H.x = g is still eliminated, as one more column with the same
+    recurrence.
 
     With L a common denominator of u and m, and DD one of d, the integers
     U = L u, M = L m, w = DD d and R = L^4 DD radius turn the equation
@@ -198,40 +305,32 @@ class _SliceEnumerator:
     """
 
     def __init__(self, h: NumClass):
-        w = tuple(_gram_times(list(h.coords)))
-        self.g, self.x0g, basis = _solve_linear_form(w)
+        w = tuple(gram_times(h.coords))
+        self.g, self.x0g, kernel = _solve_linear_form(w)
+        basis, minor, lam = _reduce_basis(kernel)
         self.basis = basis
         n = RANK - 1
-        gb = [_gram_times(b) for b in basis]
-        gx = _gram_times(self.x0g)
-        # N = -B^T G B, augmented by the linear term c = B^T G x0 of H.x = g
+        gx = gram_times(self.x0g)
+        # eliminate c = B^T G x0 like a column appended to N: row i ends as
+        # D_i times the i-th Schur-complement entry; every division is exact
         c = [sum(map(mul, b, gx)) for b in basis]
-        a = [[-sum(map(mul, b, gy)) for gy in gb] + [ci] for b, ci in zip(basis, c)]
-        # Bareiss elimination: row i ends as D_i times the i-th Schur-complement
-        # row, with D_i the leading principal minors, so d_i = D_{i+1}/D_i and
-        # u_ij = a[i][j]/D_{i+1}; every division below is exact
-        minor = [1]
+        ac = list(c)
         for i in range(n):
-            piv = a[i][i]
-            if piv <= 0:
-                raise ArithmeticError("complement form is not negative definite")
+            ci, m0, m1 = ac[i], minor[i], minor[i + 1]
             for r in range(i + 1, n):
-                for j in range(i + 1, n + 1):
-                    a[r][j] = (piv * a[r][j] - a[r][i] * a[i][j]) // minor[i]
-            minor.append(piv)
+                ac[r] = (m1 * ac[r] - ci * lam[r][i]) // m0
         # the center is m = p/det with p = adj(N) c, by back substitution
         det = minor[n]
         p = [0] * n
         for i in reversed(range(n)):
-            row = a[i]
-            tail = sum(row[j] * p[j] for j in range(i + 1, n))
-            p[i] = (det * row[n] - tail) // minor[i + 1]
+            tail = sum(lam[j][i] * p[j] for j in range(i + 1, n))
+            p[i] = (det * ac[i] - tail) // minor[i + 1]
         # least common denominators of u and m (L), and of d (DD)
         big_l = math.lcm(
             *(
-                minor[i + 1] // math.gcd(a[i][j], minor[i + 1])
-                for i in range(n)
-                for j in range(i + 1, n)
+                minor[i + 1] // math.gcd(lam[j][i], minor[i + 1])
+                for j in range(n)
+                for i in range(j)
             ),
             *(det // math.gcd(x, det) for x in p),
         )
@@ -248,7 +347,7 @@ class _SliceEnumerator:
         self.w = [dd * minor[i + 1] // minor[i] for i in range(n)]
         # cols[i][k] = U_ki for k < i: fixing t_i moves every lower a_k
         self.cols = [
-            [big_l * a[k][i] // minor[k + 1] for k in range(i)] for i in range(n)
+            [big_l * lam[i][k] // minor[k + 1] for k in range(i)] for i in range(n)
         ]
 
     def solutions(self, k: int) -> list[NumClass]:

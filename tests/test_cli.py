@@ -7,6 +7,7 @@ import json
 import pytest
 
 from enriques_invariants.cli import FAIL, OK, USAGE, main
+from enriques_invariants.lattice import NumClass, inner
 
 
 def run_cli(argv):
@@ -123,6 +124,31 @@ def test_enumerate():
     assert code == OK
     assert rep["payload"]["count"] == 2
     assert all(row["pairing"] == 1 for row in rep["payload"]["classes"])
+
+
+def _num(literal):
+    # the numerical part of a num[...] or pic[...;eps] literal
+    body = literal[4:-1].partition(";")[0]
+    return NumClass(tuple(int(c) for c in body.split(",")))
+
+
+@pytest.mark.parametrize(
+    "expression, kmax",
+    [
+        ("num[0,1,1,0,0,0,0,0,0,0]", 3),
+        ("num[1,-1,0,0,0,0,0,0,0,0]", 3),
+        ("num[2,-1,0,0,-1,0,0,-1,0,0]", 4),
+        ("2E1+2E2+E3", 3),
+        ("4E1+3E2+K", 4),
+    ],
+)
+def test_enumerate_json_pairings_equal_inner(expression, kmax):
+    code, rep = run_json(["enumerate", expression, "--kmax", str(kmax)])
+    assert code == OK
+    rows = rep["payload"]["classes"]
+    assert rows and len(rows) == rep["payload"]["count"]
+    h = _num(rep["payload"]["class"])
+    assert all(row["pairing"] == inner(_num(row["class"]), h) for row in rows)
 
 
 @pytest.mark.parametrize("kmax", ["0", "-3"])

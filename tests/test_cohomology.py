@@ -156,3 +156,18 @@ def test_certify_failure_carries_first_bad_index():
     cert = certify_mult_surjective(f, [PicClass(2 * F[5], 0)], cover="enriques")
     assert not cert.ok
     assert cert.failing_index == 1
+
+
+def test_coh_cache_stays_within_its_bound_after_a_sweep():
+    bound = coh.cache_info().maxsize
+    assert bound is not None
+    first = PicClass(NumClass((1,) + (0,) * 9), 0)
+    want = coh(first)
+    # more distinct classes than the cache holds
+    for a in range(-40, 40):
+        for b in range(-40, 40):
+            coh(PicClass(NumClass((a, b, 1) + (0,) * 7), a & 1))
+    assert 6400 > bound
+    assert coh.cache_info().currsize <= bound
+    # an evicted class is recomputed to the same triple
+    assert coh(first) == want

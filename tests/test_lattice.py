@@ -205,3 +205,8 @@ def test_arithmetic_results_equal_validated_classes(x, y, k):
 def test_inner_matches_gram_double_sum(x, y):
     want = sum(x[i] * GRAM[i][j] * y[j] for i in range(RANK) for j in range(RANK))
     assert inner(NumClass(x), NumClass(y)) == want
+
+
+@given(st.tuples(*[st.integers(min_value=-(10**12), max_value=10**12)] * 10))
+def test_num_class_str_matches_join_form(coords):
+    assert str(NumClass(coords)) == "num[" + ",".join(str(c) for c in coords) + "]"

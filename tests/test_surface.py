@@ -1,9 +1,11 @@
 """Tests for divisor-class predicates on an unnodal Enriques surface."""
 
 import math
+from fractions import Fraction
+from operator import mul
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from enriques_invariants.lattice import (
@@ -12,6 +14,7 @@ from enriques_invariants.lattice import (
     RANK,
     NumClass,
     divisibility,
+    gram_times,
     inner,
     isotropic_generator,
     two_isotropic_generator,
@@ -20,7 +23,9 @@ from enriques_invariants.surface import (
     CANONICAL,
     PhiResult,
     PicClass,
-    _gram_times,
+    _reduce_basis,
+    _SliceEnumerator,
+    _solve_linear_form,
     enumerate_isotropic,
     genus,
     half_fiber_form,
@@ -155,8 +160,8 @@ def test_enumerate_counts_f1_plus_f2(kmax, count):
 @given(st.tuples(*[st.integers(min_value=-(10**12), max_value=10**12)] * 10))
 def test_gram_times_matches_gram_double_loop(v):
     want = [sum(GRAM[i][j] * v[j] for j in range(RANK)) for i in range(RANK)]
-    assert _gram_times(v) == want
-    assert _gram_times(list(v)) == want
+    assert gram_times(v) == want
+    assert gram_times(list(v)) == want
 
 
 def _permute(v, perm):
@@ -227,3 +232,118 @@ def test_hodge_index_on_effective_pairs(a_num, b_num):
         assert a.num.square == 0 and b.num.square == 0
         da, db = divisibility(a.num), divisibility(b.num)
         assert db * a.num == da * b.num
+
+
+# positive combinations of at least two distinct generators: effective, of
+# positive square
+effective_h = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=10), st.integers(min_value=1, max_value=5)),
+    min_size=2,
+    max_size=5,
+).map(lambda terms: sum((c * F[i] for i, c in terms), ZERO))
+
+
+def _kernel(num):
+    return _solve_linear_form(tuple(gram_times(num.coords)))[2]
+
+
+@given(st.tuples(*[st.integers(min_value=-4, max_value=4)] * 10))
+@example((34, 9, 11, 11, 11, 7, 7, 12, 11, 11))
+@example((0, 2, 2, 0, -2, 2, 0, 0, 0, 6))
+def test_solve_linear_form_gives_a_kernel_basis(w):
+    assume(any(w))
+    g, x0, kernel = _solve_linear_form(w)
+    assert abs(g) == math.gcd(*w)
+    assert sum(map(mul, w, x0)) == g
+    assert len(kernel) == RANK - 1
+    assert all(sum(map(mul, w, v)) == 0 for v in kernel)
+    # {x : w.x = 0} has Euclidean Gram determinant |w/g|^2; a proper
+    # sublattice (or a dependent family) would not
+    gram = [[sum(map(mul, u, v)) for v in kernel] for u in kernel]
+    norms, _ = _fraction_ldl(gram)
+    assert math.prod(norms) * g * g == sum(x * x for x in w)
+
+
+def _complement_gram(basis):
+    # N(x, y) = -x.G.y by the double loop over GRAM
+    return [
+        [-sum(x[i] * GRAM[i][j] * y[j] for i in range(RANK) for j in range(RANK)) for y in basis]
+        for x in basis
+    ]
+
+
+def _fraction_ldl(gram):
+    """Gram-Schmidt of a Gram matrix over Fraction: squared norms and mu."""
+    n = len(gram)
+    gram = [[Fraction(x) for x in row] for row in gram]
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    norms = []
+    for k in range(n):
+        for j in range(k):
+            s = sum(mu[j][i] * mu[k][i] * norms[i] for i in range(j))
+            mu[k][j] = (gram[k][j] - s) / norms[j]
+        norms.append(gram[k][k] - sum(mu[k][i] ** 2 * norms[i] for i in range(k)))
+    return norms, mu
+
+
+@given(effective_h)
+@settings(max_examples=60, deadline=None)
+def test_reduced_basis_spans_the_kernel_lattice(num):
+    assume(num.square > 0)
+    kernel = _kernel(num)
+    basis, d, _ = _reduce_basis(kernel)
+    assert len(basis) == RANK - 1
+    assert all(inner(NumClass(tuple(b)), num) == 0 for b in basis)
+    # every reduced vector lies in the kernel lattice, so equal Gram
+    # determinants mean equal lattices
+    assert math.prod(_fraction_ldl(_complement_gram(kernel))[0]) == d[RANK - 1]
+    assert math.prod(_fraction_ldl(_complement_gram(basis))[0]) == d[RANK - 1]
+
+
+@given(effective_h)
+@settings(max_examples=60, deadline=None)
+def test_reduced_basis_is_lll_reduced(num):
+    assume(num.square > 0)
+    _, d, lam = _reduce_basis(_kernel(num))
+    n = RANK - 1
+    for k in range(n):
+        for j in range(k):
+            assert 2 * abs(lam[k][j]) <= d[j + 1]
+    for k in range(1, n):
+        # delta = 3/4 in integers
+        assert 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2
+
+
+@given(effective_h)
+@settings(max_examples=60, deadline=None)
+def test_reduction_minors_and_coefficients_match_fraction_ldl(num):
+    assume(num.square > 0)
+    basis, d, lam = _reduce_basis(_kernel(num))
+    norms, mu = _fraction_ldl(_complement_gram(basis))
+    n = RANK - 1
+    assert d == [math.prod(norms[:k]) for k in range(n + 1)]
+    for k in range(n):
+        for j in range(k):
+            assert lam[k][j] == d[j + 1] * mu[k][j]
+
+
+@given(small_coords.map(NumClass))
+@example(F[1])
+@example(F[1] - F[2])
+def test_reduction_rejects_forms_that_are_not_negative_definite(num):
+    # square 0: the complement contains the class itself (semidefinite);
+    # square < 0: the complement has signature (1, 8) (indefinite)
+    assume(num and num.square <= 0)
+    with pytest.raises(ArithmeticError, match="not negative definite"):
+        _reduce_basis(_kernel(num))
+    with pytest.raises(ArithmeticError, match="not negative definite"):
+        _SliceEnumerator(num)
+
+
+@given(
+    st.tuples(*[st.integers(min_value=-(10**12), max_value=10**12)] * 10),
+    st.integers(min_value=0, max_value=1),
+)
+def test_pic_class_str_matches_join_form(coords, eps):
+    want = "pic[" + ",".join(str(c) for c in coords) + f";{eps}]"
+    assert str(PicClass(NumClass(coords), eps)) == want
