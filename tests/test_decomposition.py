@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enriques_invariants import decomposition
 from enriques_invariants.decomposition import (
     ComponentRecord,
     DatabaseError,
@@ -250,7 +251,12 @@ def test_component_of_untabulated_raises():
 
 
 def test_all_records_recompute_their_row():
-    for rec in all_tabulated_components():
+    records = decomposition._records()
+    assert len({rec.label for rec in records}) == len(records)
+    # the public listing keeps to the 22 records of the embedding regime
+    embedding = all_tabulated_components()
+    assert {r.phi for r in embedding} == {3, 4} and len(embedding) == 22
+    for rec in records:
         h = realize(rec.dtype)
         assert genus(h) == rec.g, rec.label
         assert phi(h).value == rec.phi, rec.label

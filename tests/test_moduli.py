@@ -1,18 +1,27 @@
 """Tests for the twisted-tangent-bundle bounds and moduli fiber dimensions."""
 
+import dataclasses
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from enriques_invariants import moduli
 from enriques_invariants.cohomology import k3_coh
 from enriques_invariants.decomposition import (
+    ComponentRecord,
+    DatabaseError,
+    DecompositionType,
     Symbol,
     all_tabulated_components,
+    canonical_type,
     component_of,
     components,
     pairing,
     parse,
     realize,
+    two_divisible,
+    validate_simple,
 )
 from enriques_invariants.lattice import (
     inner,
@@ -22,6 +31,7 @@ from enriques_invariants.lattice import (
 from enriques_invariants.moduli import (
     BOUND_TABLE,
     H1Interval,
+    _epsilon_chain,
     _five_candidates,
     alpha,
     beta_bounds,
@@ -36,7 +46,6 @@ from enriques_invariants.moduli import (
     phi1_family_total,
     phi2_double_family_total,
     phi2_triple_family_total,
-    quadric_coh,
 )
 from enriques_invariants.surface import PicClass
 
@@ -175,17 +184,17 @@ def test_embedding_requires_pairing_two():
 
 def test_interval_rejects_empty():
     with pytest.raises(ValueError):
-        H1Interval(3, 2, False, None)
+        H1Interval(3, 2, None)
 
 
 def test_interval_forces_exact_flag():
-    assert H1Interval(2, 2, False, None).exact
-    assert not H1Interval(0, 3, True, None).exact
+    assert H1Interval(2, 2, None).exact
+    assert not H1Interval(0, 3, None).exact
 
 
 def test_interval_value_guard():
     with pytest.raises(ValueError):
-        H1Interval(0, 3, False, None).value
+        H1Interval(0, 3, None).value
 
 
 # --- driver ----------------------------------------------------------------
@@ -293,27 +302,6 @@ def test_phi2_triple_recomputed():
         assert phi2_triple_family_total(k) == (4 if k == 2 else 0)
 
 
-def test_quadric_coh():
-    assert (quadric_coh(1, 2).h0, quadric_coh(1, 2).h1, quadric_coh(1, 2).h2) == (
-        6,
-        0,
-        0,
-    )
-    t = quadric_coh(0, 0)
-    assert (t.h0, t.h1, t.h2) == (1, 0, 0)
-    t = quadric_coh(-1, 5)
-    assert (t.h0, t.h1, t.h2) == (0, 0, 0)
-
-
-def test_quadric_coh_duality_and_euler():
-    for a in range(-4, 4):
-        for b in range(-4, 4):
-            t = quadric_coh(a, b)
-            d = quadric_coh(-2 - a, -2 - b)
-            assert (t.h0, t.h1, t.h2) == (d.h2, d.h1, d.h0)
-            assert t.h0 - t.h1 + t.h2 == (a + 1) * (b + 1)
-
-
 # --- split and fiber dimensions ---------------------------------------------
 
 
@@ -333,7 +321,7 @@ def test_split_golden_pair():
 
 def test_split_accepts_exact_interval():
     comp = component_of(parse("E1+E2+E3+E4"))
-    iv = H1Interval(2, 2, True, None)
+    iv = H1Interval(2, 2, None)
     assert enriques_split(iv, comp) == enriques_split(2, comp)
 
 
@@ -346,7 +334,40 @@ def test_split_rejects_odd_symmetric_total():
 def test_split_rejects_inexact_interval():
     comp = component_of(parse("2E1+2E2+E3"))
     with pytest.raises(ValueError):
-        enriques_split(H1Interval(0, 2, False, None), comp)
+        enriques_split(H1Interval(0, 2, None), comp)
+
+
+def test_two_divisible_records_have_one_reversed_partner():
+    records = list(all_tabulated_components())
+    records += [rec for g in range(3, 26) for rec in components(g, 2)]
+    records += [components(g, 1)[0] for g in range(2, 26)]
+    for rec in records:
+        if not two_divisible(rec.dtype):
+            assert rec.h1_split == (rec.fiber_dim_chi, rec.fiber_dim_chi), rec.label
+            continue
+        rows, eps = canonical_type(rec.dtype)
+        partners = [
+            other
+            for other in components(rec.g, rec.phi)
+            if canonical_type(other.dtype) == (rows, 1 - eps)
+        ]
+        assert len(partners) == 1, rec.label
+        assert partners[0].h1_split == rec.h1_split[::-1], rec.label
+
+
+def test_split_without_partner_is_a_database_error():
+    # 4E1+4E2 is 2-divisible but has no record in the (9, 4) slice
+    lone = ComponentRecord("lone", 9, 4, parse("4E1+4E2"), 1, (1, 0), 1)
+    with pytest.raises(DatabaseError):
+        enriques_split(1, lone)
+
+
+def test_split_rejects_partner_that_is_not_the_reverse(monkeypatch):
+    plus, minus = components(9, 4)
+    skewed = dataclasses.replace(minus, h1_split=(1, 2))
+    monkeypatch.setattr(moduli, "components", lambda g, p: [plus, skewed])
+    with pytest.raises(ArithmeticError, match="reverse"):
+        enriques_split(3, plus)
 
 
 def test_fiber_dimension_examples():
@@ -444,3 +465,80 @@ def test_five_candidates_match_loop_on_small_picks(size):
 @given(st.sampled_from(_FIVE_SUBSETS))
 def test_five_candidates_match_loop(picks):
     assert _five_candidates(list(picks)) == _five_candidates_by_loop(picks)
+
+
+def _epsilon_chain_by_loop(d, h, s1, s2):
+    # the chain loop _epsilon_chain ran in place before it called
+    # certify_mult_surjective: 0 when some summand order certifies, else None
+    def sym_class(s):
+        return PicClass(s.realize(), 0)
+
+    w = sym_class(s1) + sym_class(s2)
+    rem = {s: c for c, s in d.terms}
+    rem[s1] -= 1
+    rem[s2] -= 1
+    others = []
+    for c, s in d.terms:
+        if s not in (s1, s2):
+            others.extend([s] * c)
+    for blocks in range(min(rem[s1], rem[s2]), -1, -1):
+        left1 = rem[s1] - blocks
+        left2 = rem[s2] - blocks
+        orders = [
+            others + [s1] * left1 + [s2] * left2,
+            [s1] * left1 + [s2] * left2 + others,
+            others + [s2] * left2 + [s1] * left1,
+        ]
+        for order in orders:
+            accum = w
+            ok = True
+            for _ in range(blocks):
+                accum = accum + w
+            for sym in order:
+                p = sym_class(sym)
+                if k3_coh(accum - p).h1 != 0:
+                    ok = False
+                    break
+                accum = accum + p
+            if ok:
+                assert accum.num == h.num
+                return 0
+    return None
+
+
+@st.composite
+def _simple_types(draw):
+    singles = draw(st.lists(st.integers(1, 10), min_size=1, max_size=7, unique=True))
+    pair = st.lists(st.integers(1, 10), min_size=2, max_size=2, unique=True)
+    pairs = draw(st.lists(pair.map(sorted).map(tuple), min_size=1, max_size=2, unique=True))
+    syms = [Symbol((i,)) for i in singles] + [Symbol(p) for p in pairs]
+    terms = tuple((draw(st.integers(1, 4)), s) for s in syms)
+    d = DecompositionType(terms, draw(st.integers(0, 1)))
+    assume(validate_simple(d)[0])
+    return d
+
+
+def _assert_chain_matches_loop(d):
+    h = realize(d)
+    syms = [s for _, s in d.terms]
+    for s1 in syms:
+        for s2 in syms:
+            if s1 == s2 or pairing(s1, s2) != 2:
+                continue
+            cert = _epsilon_chain(d, h, s1, s2)
+            assert (cert is not None) == (_epsilon_chain_by_loop(d, h, s1, s2) == 0)
+            if cert is not None:
+                assert cert.ok and cert.cover == "k3"
+                assert all(v == 0 for _, v in cert.checks)
+
+
+# a pairing-2 link needs a pair symbol E{i,j}
+@pytest.mark.parametrize("text", [t for t, *_ in BOUND_TABLE if "E{" in t])
+def test_epsilon_chain_matches_loop_on_bound_table(text):
+    _assert_chain_matches_loop(parse(text))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_simple_types())
+def test_epsilon_chain_matches_loop(d):
+    _assert_chain_matches_loop(d)
