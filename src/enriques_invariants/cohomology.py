@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal
 
 from .lattice import DELTA, divisibility, inner
 from .surface import CANONICAL, PicClass
@@ -80,39 +79,6 @@ def k3_coh(d: PicClass) -> CohTriple:
     return CohTriple(a.h0 + b.h0, a.h1 + b.h1, a.h2 + b.h2)
 
 
-Cover = Literal["k3", "enriques"]
-
-
-def _coh_on(cover: Cover):
-    if cover == "k3":
-        return k3_coh
-    if cover == "enriques":
-        return coh
-    raise ValueError(f"unknown cover {cover!r}")
-
-
-@dataclass(frozen=True)
-class MultBound:
-    """Upper bound for the corank of a multiplication map of sections."""
-
-    upper: int
-    exact: bool
-
-
-def mult_corank_bound(f: PicClass, g: PicClass, cover: Cover = "k3") -> MultBound:
-    """Corank bound for mu: H0(F) x H0(G) -> H0(F + G), G a pencil.
-
-    For a base-point-free pencil G the corank of the multiplication map is
-    at most h1(F - G), with equality when h1(F) = 0.  The caller vouches
-    for base-point-freeness (automatic for the pencils we use: |2E| on the
-    surface, elliptic pencils upstairs); h0(G) = 2 is checked here.
-    """
-    cohfn = _coh_on(cover)
-    if cohfn(g).h0 != 2:
-        raise ValueError("G must be a pencil class (h0 = 2) on the chosen cover")
-    return MultBound(upper=cohfn(f - g).h1, exact=cohfn(f).h1 == 0)
-
-
 @dataclass(frozen=True)
 class MultCert:
     """Outcome of a chained surjectivity certification.
@@ -123,34 +89,35 @@ class MultCert:
     """
 
     ok: bool
-    cover: Cover
     checks: tuple[tuple[PicClass, int], ...]
     failing_index: int | None = None
 
 
 def certify_mult_surjective(
-    f: PicClass, parts: tuple[PicClass, ...] | list[PicClass], cover: Cover = "k3"
+    f: PicClass, parts: tuple[PicClass, ...] | list[PicClass]
 ) -> MultCert:
-    """Certify surjectivity of mu: H0(F) x H0(G) -> H0(F + G), G = sum(parts).
+    """Certify surjectivity of mu: H0(F) x H0(G) -> H0(F + G), G = sum(parts),
+    on the K3 cover.
 
     Splitting G into pencil summands G_1, ..., G_n reduces surjectivity to
     the vanishing h1(F + G_1 + ... + G_{i-1} - G_i) = 0 for every i; each
     step is one pencil multiplication.  Every part must be a pencil class
-    on the chosen cover.
+    (h0 = 2) on the cover, checked once per distinct part; the caller
+    vouches for base-point-freeness (automatic for the elliptic pencils
+    the moduli driver uses).
     """
-    cohfn = _coh_on(cover)
     parts = tuple(parts)
     # an empty product leaves mu the identity, trivially surjective
-    for p in parts:
-        if cohfn(p).h0 != 2:
-            raise ValueError(f"part {p} is not a pencil class on cover {cover!r}")
+    for p in dict.fromkeys(parts):
+        if k3_coh(p).h0 != 2:
+            raise ValueError(f"part {p} is not a pencil class on the K3 cover")
     checks: list[tuple[PicClass, int]] = []
     accum = f
     for i, p in enumerate(parts, start=1):
         probe = accum - p
-        h1 = cohfn(probe).h1
+        h1 = k3_coh(probe).h1
         checks.append((probe, h1))
         if h1 != 0:
-            return MultCert(False, cover, tuple(checks), failing_index=i)
+            return MultCert(False, tuple(checks), failing_index=i)
         accum = accum + p
-    return MultCert(True, cover, tuple(checks))
+    return MultCert(True, tuple(checks))

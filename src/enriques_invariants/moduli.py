@@ -23,9 +23,8 @@ K3 number exactly in terms of lattice data:
 epsilon is never guessed: it is only accepted from a
 certify_mult_surjective chain of pencil multiplications (each surjective
 when one h1 vanishes) started from a multiple of the degree-8 class
-(G1 + G2)~, whose section ring is generated in degree one, or as an
-explicit nonnegative upper bound; anything else leaves the interval open
-above.
+(G1 + G2)~, whose section ring is generated in degree one; without a
+certified chain the interval stays open above.
 
 Eight containment patterns of decomposition symbols force the K3 number
 to vanish; their replays below re-verify every required vanishing
@@ -34,6 +33,7 @@ numerically against the actual class rather than trusting the shape.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
@@ -65,7 +65,7 @@ class Certificate:
     """How an h1 interval was obtained.
 
     method is one of double-cover, embedding, isotropic-pattern,
-    closed-form, golden, intersection; aux names the auxiliary classes
+    closed-form, intersection; aux names the auxiliary classes
     and values the numeric ingredients (alpha, beta, gamma, delta,
     epsilon bounds and friends).
     """
@@ -240,7 +240,7 @@ def h1_bound_embedding(
     h: PicClass,
     g1: PicClass,
     g2: PicClass,
-    epsilon_cert: MultCert | int | None = None,
+    epsilon_cert: MultCert | None = None,
 ) -> H1Interval:
     """K3 tangent-twist h1 through the three-quadrics embedding by |W~|,
     W = G1 + G2.
@@ -248,9 +248,9 @@ def h1_bound_embedding(
     Exact constant 12 when H = W numerically.  Otherwise the interval is
     [3*delta, epsilon + 6*gamma + 3*delta]: the lower bound holds because
     the relevant coboundary is injective once H != W, and the upper needs
-    an epsilon bound.  epsilon_cert may be a chain certificate (ok means
-    epsilon = 0), an explicit nonnegative integer upper bound, or None,
-    in which case no finite upper bound is claimed.
+    an epsilon bound.  epsilon_cert is a chain certificate from
+    _epsilon_chain: when it is ok, epsilon = 0; when it is None or failed,
+    no finite upper bound is claimed.
     """
     gd = gamma_delta(h, g1, g2)
     aux = (("G1", str(g1)), ("G2", str(g2)))
@@ -260,65 +260,55 @@ def h1_bound_embedding(
             note="degenerate: H equals G1 + G2, constant answer",
         )
         return H1Interval(12, 12, cert)
-    if isinstance(epsilon_cert, MultCert):
-        eps_upper = 0 if epsilon_cert.ok else None
-    else:
-        eps_upper = epsilon_cert
-    if eps_upper is not None and eps_upper < 0:
-        raise ValueError("epsilon bound cannot be negative")
     lower = 3 * gd.delta
-    values = [("gamma", gd.gamma), ("delta", gd.delta)]
-    if eps_upper is None:
+    values = (("gamma", gd.gamma), ("delta", gd.delta))
+    if epsilon_cert is None or not epsilon_cert.ok:
         cert = Certificate(
-            "embedding", aux, tuple(values),
+            "embedding", aux, values,
             note="multiplication corank not certified, no upper bound",
         )
         return H1Interval(lower, None, cert)
-    values.append(("epsilon_upper", eps_upper))
-    cert = Certificate("embedding", aux, tuple(values))
-    return H1Interval(lower, eps_upper + 6 * gd.gamma + lower, cert)
+    cert = Certificate("embedding", aux, values + (("epsilon_upper", 0),))
+    return H1Interval(lower, 6 * gd.gamma + lower, cert)
 
 
 def _epsilon_chain(
     d: DecompositionType, h: PicClass, s1: Symbol, s2: Symbol
-) -> MultCert | None:
-    """Try to certify epsilon = 0 for the G-pair (s1, s2) of d.
+) -> MultCert:
+    """Chain certificate for epsilon = 0 on the G-pair (s1, s2) of d.
 
     epsilon is the corank of H0(W~) x H0((H-W)~) -> H0(H~).  Writing
     H - W in the remaining decomposition symbols, the multiplication is
     chained one summand at a time: copies of W itself are ring-generation
     steps for the base-point-free degree-8 class W~ (always surjective,
     the section ring of W~ being generated in degree one), so the chain
-    starts from (blocks + 1) * W, and each pencil summand is one step of
-    certify_mult_surjective.  A few deterministic summand orders are
-    tried; None means not certified.
+    starts from (b + 1) * W, b = min(c1, c2) - 1 for the coefficients c1,
+    c2 of s1, s2, and each pencil summand is one step of
+    certify_mult_surjective: the other symbols first, then the leftover
+    copies of s1, then those of s2.
+
+    This one order always certifies.  In a simple type the links share a
+    symbol, so with s1.s2 = 2 every other symbol o has o.o' = 1 for the
+    other symbols o' != o and W.o in {2, 3}.  Expanding the squares,
+    every probe X = start + (earlier parts) - p then has X.X >= -2, and
+    X.X = 0 only at b = 0, where X is W - o with X.s1 = 1 or X is s1 or
+    s2 itself; either way X is primitive.  coh gives h1(X) = 0 on both
+    torsion lifts in all these cases, so every step is surjective.  The
+    certificate is returned whether or not it is ok; h1_bound_embedding
+    reads a failed one as no upper bound.
     """
     w = _sym_class(s1) + _sym_class(s2)
     rem = {s: c for c, s in d.terms}
     rem[s1] -= 1
     rem[s2] -= 1
-    others: list[Symbol] = []
-    for c, s in d.terms:
-        if s not in (s1, s2):
-            others.extend([s] * c)
-    max_blocks = min(rem[s1], rem[s2])
-    for blocks in range(max_blocks, -1, -1):
-        left1 = rem[s1] - blocks
-        left2 = rem[s2] - blocks
-        orders = [
-            others + [s1] * left1 + [s2] * left2,
-            [s1] * left1 + [s2] * left2 + others,
-            others + [s2] * left2 + [s1] * left1,
-        ]
-        start = (blocks + 1) * w
-        for order in orders:
-            parts = [_sym_class(sym) for sym in order]
-            cert = certify_mult_surjective(start, parts)
-            if cert.ok:
-                if sum((p.num for p in parts), start.num) != h.num:
-                    raise ArithmeticError("chain parts do not sum to H")
-                return cert
-    return None
+    blocks = min(rem[s1], rem[s2])
+    order = [s for c, s in d.terms if s not in (s1, s2) for _ in range(c)]
+    order += [s1] * (rem[s1] - blocks) + [s2] * (rem[s2] - blocks)
+    start = (blocks + 1) * w
+    parts = [_sym_class(sym) for sym in order]
+    if sum((p.num for p in parts), start.num) != h.num:
+        raise ArithmeticError("chain parts do not sum to H")
+    return certify_mult_surjective(start, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +455,6 @@ def _replay_linked(
         x, y, z = picks
         for left in (x, y):
             eps = _epsilon_chain(d, h, left, z)
-            if eps is None:
-                continue
             iv = h1_bound_embedding(h, _sym_class(left), _sym_class(z), eps)
             if iv.exact:
                 return _wrap_pattern(name, iv)
@@ -474,8 +462,6 @@ def _replay_linked(
     # power-link: the whole type is k*X + l*Z with X.Z = 2
     x, z = picks
     eps = _epsilon_chain(d, h, x, z)
-    if eps is None:
-        return None
     iv = h1_bound_embedding(h, _sym_class(x), _sym_class(z), eps)
     if iv.exact:
         return _wrap_pattern(name, iv)
@@ -495,10 +481,11 @@ def _pattern_scan(d: DecompositionType, h: PicClass) -> H1Interval | None:
 
 
 # ---------------------------------------------------------------------------
-# tabulated two-generator recipes and family closed forms
+# generator-pair bounds, the golden bound table and family closed forms
 
-# canonical bound table for the tangent-twist h1 on the K3 cover; the
-# "<=" rows are the two where the bounding technique does not close up
+# golden bound table for the tangent-twist h1 on the K3 cover, checked by
+# verify-tables and the tests and never read by the driver; the "<=" rows
+# are the two where the bounding technique does not close up
 BOUND_TABLE: tuple[tuple[str, str, int], ...] = (
     ("4E1+4E2", "=", 1),
     ("4E1+3E2", "=", 2),
@@ -513,51 +500,16 @@ BOUND_TABLE: tuple[tuple[str, str, int], ...] = (
 )
 
 
-def _designated_pair_bound(d: DecompositionType, h: PicClass) -> H1Interval:
-    """Run the bounding route on the first suitable generator pair:
-    the unique pairing-2 link when there is one, else the first two terms."""
+def _pair_search(d: DecompositionType, h: PicClass) -> Iterator[H1Interval]:
+    """Bound through every generator pair of d in term order: the double
+    cover for a transverse pair, the embedding for a linked one."""
     syms = [s for _, s in d.terms]
-    link = None
-    for i in range(len(syms)):
-        for j in range(i + 1, len(syms)):
-            if pairing(syms[i], syms[j]) == 2:
-                link = (syms[i], syms[j])
-                break
-        if link:
-            break
-    if link:
-        eps = _epsilon_chain(d, h, *link)
-        return h1_bound_embedding(h, _sym_class(link[0]), _sym_class(link[1]), eps)
-    return h1_bound_double_cover(h, _sym_class(syms[0]), _sym_class(syms[1]))
-
-
-_TABLE_SIGNATURES = frozenset(
-    canonical_type(parse(text))[0] for text, _, _ in BOUND_TABLE
-)
-
-
-def _table_recipe(d: DecompositionType, h: PicClass) -> H1Interval | None:
-    rows, _ = canonical_type(d)
-    if rows not in _TABLE_SIGNATURES:
-        return None
-    return _designated_pair_bound(d, h)
-
-
-def _pair_search(d: DecompositionType, h: PicClass) -> list[H1Interval]:
-    out = []
-    terms = list(d.terms)
-    for i in range(len(terms)):
-        for j in range(i + 1, len(terms)):
-            si, sj = terms[i][1], terms[j][1]
-            p = pairing(si, sj)
-            if p == 1:
-                out.append(h1_bound_double_cover(h, _sym_class(si), _sym_class(sj)))
-            else:
-                eps = _epsilon_chain(d, h, si, sj)
-                out.append(
-                    h1_bound_embedding(h, _sym_class(si), _sym_class(sj), eps)
-                )
-    return out
+    for si, sj in combinations(syms, 2):
+        if pairing(si, sj) == 1:
+            yield h1_bound_double_cover(h, _sym_class(si), _sym_class(sj))
+        else:
+            eps = _epsilon_chain(d, h, si, sj)
+            yield h1_bound_embedding(h, _sym_class(si), _sym_class(sj), eps)
 
 
 def phi1_family_total(g: int) -> int:
@@ -623,9 +575,11 @@ def _closed_form(d: DecompositionType) -> H1Interval | None:
 def h1_tangent_k3(d: DecompositionType) -> H1Interval:
     """Best certified interval for the twisted tangent h1 on the K3 cover.
 
-    Strategies in order: vanishing-pattern replay, tabulated recipe,
-    generator-pair bounds, family closed forms.  The first exact result
-    wins; otherwise everything found is intersected.  A closed form that
+    Strategies in order: vanishing-pattern replay, then the bound of
+    every generator pair in term order (double cover for a transverse
+    pair, embedding for a linked one), then the family closed forms.  The
+    first exact result wins, and no later pair is tried; otherwise every
+    pair bound is intersected.  A closed form that
     falls outside the independently derived bounds raises, by design.
     """
     ok, why = validate_simple(d)
@@ -638,11 +592,6 @@ def h1_tangent_k3(d: DecompositionType) -> H1Interval:
     if found is not None:
         return found
     collected: list[H1Interval] = []
-    iv = _table_recipe(d, h)
-    if iv is not None:
-        if iv.exact:
-            return iv
-        collected.append(iv)
     for cand in _pair_search(d, h):
         if cand.exact:
             return cand

@@ -1,5 +1,7 @@
 """Tests for the line-bundle cohomology decision procedure."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,6 @@ from enriques_invariants.cohomology import (
     chi,
     coh,
     k3_coh,
-    mult_corank_bound,
 )
 from enriques_invariants.lattice import (
     NumClass,
@@ -121,23 +122,9 @@ def test_nonnegative_entries():
             assert t.h0 >= 0 and t.h1 >= 0 and t.h2 >= 0
 
 
-def test_mult_corank_examples():
-    f = PicClass(F[1] + E12, 0)
-    b = mult_corank_bound(f, PicClass(F[1], 0), cover="k3")
-    assert b.upper == 0
-    b2 = mult_corank_bound(f, PicClass(F[2], 0), cover="k3")
-    assert b2.upper == 0
-    assert b2.exact  # h1 of F vanishes on the double cover
-
-
-def test_mult_corank_rejects_non_pencil():
-    with pytest.raises(ValueError):
-        mult_corank_bound(PicClass(F[1] + F[2], 0), PicClass(F[1] + F[2], 0))
-
-
 def test_certify_chain_success():
     f = PicClass(F[1] + E12, 0)
-    cert = certify_mult_surjective(f, [PicClass(F[1], 0), PicClass(F[2], 0)], cover="k3")
+    cert = certify_mult_surjective(f, [PicClass(F[1], 0), PicClass(F[2], 0)])
     assert cert.ok
     assert cert.failing_index is None
     assert len(cert.checks) == 2
@@ -150,11 +137,21 @@ def test_certify_empty_parts_is_trivial_success():
 
 
 def test_certify_failure_carries_first_bad_index():
-    # first difference has square -4, so its h1 is 1 and the chain stops there
-    f = PicClass(F[1] + F[2] - F[3] - F[4] + 2 * F[5], 0)
-    cert = certify_mult_surjective(f, [PicClass(2 * F[5], 0)], cover="enriques")
+    # first difference has square -4, so its h1 is 1 on each torsion lift
+    # and the chain stops there
+    f = PicClass(F[1] + F[2] - F[3] - F[4] + F[5], 0)
+    cert = certify_mult_surjective(f, [PicClass(F[5], 0), PicClass(F[6], 0)])
     assert not cert.ok
     assert cert.failing_index == 1
+    assert cert.checks == ((PicClass(F[1] + F[2] - F[3] - F[4], 0), 2),)
+
+
+def test_certify_rejects_non_pencil_part_naming_the_first():
+    # F1 + F2 has h0 = 2 on each torsion lift, so 4 on the K3 cover
+    bad = PicClass(F[1] + F[2], 0)
+    parts = [PicClass(F[1], 0), bad, PicClass(F[1] + F[3], 0), bad]
+    with pytest.raises(ValueError, match=f"part {re.escape(str(bad))} is not a pencil"):
+        certify_mult_surjective(PicClass(F[1] + E12, 0), parts)
 
 
 def test_coh_cache_stays_within_its_bound_after_a_sweep():

@@ -153,14 +153,13 @@ def test_embedding_degenerate_case():
 
 
 def test_embedding_certified_cases():
-    iv = h1_bound_embedding(
-        PicClass(2 * (F[1] + E12), 0), half_fiber(1), PicClass(E12, 0), epsilon_cert=0
-    )
-    assert iv.exact and iv.value == 3
-    iv = h1_bound_embedding(
-        PicClass(2 * F[1] + E12, 0), half_fiber(1), PicClass(E12, 0), epsilon_cert=0
-    )
-    assert iv.exact and iv.value == 6
+    for text, value in (("2E1+2E{1,2}", 3), ("2E1+E{1,2}", 6)):
+        d = parse(text)
+        h = realize(d)
+        cert = _epsilon_chain(d, h, Symbol((1,)), Symbol((1, 2)))
+        assert cert.ok
+        iv = h1_bound_embedding(h, half_fiber(1), PicClass(E12, 0), epsilon_cert=cert)
+        assert iv.exact and iv.value == value
 
 
 def test_embedding_unknown_corank_is_inconclusive():
@@ -247,6 +246,13 @@ def test_bound_table_contents():
 def test_driver_reproduces_bound_table(text, expected):
     iv = h1_tangent_k3(parse(text))
     assert (iv.lower, iv.upper) == expected
+
+
+@pytest.mark.parametrize("text, pairs", [("2E1+2E2+2E3", 3), ("E1+E2+E3+E4", 6)])
+def test_intersection_counts_each_pair_once(text, pairs):
+    cert = h1_tangent_k3(parse(text)).certificate
+    assert cert.method == "intersection"
+    assert cert.values == (("candidates", pairs),)
 
 
 def test_driver_rejects_invalid_type():
@@ -468,8 +474,8 @@ def test_five_candidates_match_loop(picks):
 
 
 def _epsilon_chain_by_loop(d, h, s1, s2):
-    # the chain loop _epsilon_chain ran in place before it called
-    # certify_mult_surjective: 0 when some summand order certifies, else None
+    # reference oracle: every block count from the largest down, three
+    # summand orders each; 0 when some attempt certifies, else None
     def sym_class(s):
         return PicClass(s.realize(), 0)
 
@@ -526,10 +532,8 @@ def _assert_chain_matches_loop(d):
             if s1 == s2 or pairing(s1, s2) != 2:
                 continue
             cert = _epsilon_chain(d, h, s1, s2)
-            assert (cert is not None) == (_epsilon_chain_by_loop(d, h, s1, s2) == 0)
-            if cert is not None:
-                assert cert.ok and cert.cover == "k3"
-                assert all(v == 0 for _, v in cert.checks)
+            assert cert.ok == (_epsilon_chain_by_loop(d, h, s1, s2) == 0)
+            assert cert.ok == all(v == 0 for _, v in cert.checks)
 
 
 # a pairing-2 link needs a pair symbol E{i,j}
