@@ -8,7 +8,11 @@ verify-tables (recompute the embedded golden tables and diff).
 Exit codes: 0 everything ok, 1 mismatch / inconclusive / semantic error,
 2 malformed command line or unparseable input.  `--json` switches every
 command to a machine-readable report of the shape
-{command, status, message, payload}; the default is plain text.
+{command, status, message, payload}; the default is plain text.  The
+`--json` output is exactly json.dumps(report, indent=2).  enumerate renders
+each class row from one % template over its pairing and coordinates: a
+text line, or with --json the object json.dumps would print, which main
+splices into the dumped report.
 
 The argument parser is built once per process, on the first main() call,
 and reused: parse_args returns a fresh namespace on every call.
@@ -23,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from operator import mul
 
-from .lattice import NumClass, RANK, gram_times
+from .lattice import COORDS_FORMAT, NumClass, RANK, gram_times
 from .surface import PicClass, enumerate_isotropic, genus, phi
 from .cohomology import coh, k3_coh
 from .decomposition import (
@@ -62,6 +66,10 @@ class Report:
     payload: object
     status: str = "ok"  # ok | inconclusive | error
     message: str = ""
+    # enumerate's class rows, each already laid out as json.dumps(indent=2)
+    # lays out an item of payload["classes"]; main puts them in place of the
+    # empty list that payload["classes"] holds
+    json_rows: list[str] | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -253,6 +261,16 @@ def _cmd_coh(ns) -> tuple[Report, int, list[str]]:
     return Report("coh", payload), OK, lines
 
 
+# one enumerate row from (pairing, *coordinates): a {"pairing", "class"}
+# object at the depth json.dumps(indent=2) puts it in a report, or a text line
+_JSON_ROW = (
+    '      {\n        "pairing": %d,\n        "class": "num['
+    + COORDS_FORMAT
+    + ']"\n      }'
+)
+_TEXT_ROW = "  k=%d  num[" + COORDS_FORMAT + "]"
+
+
 def _cmd_enumerate(ns) -> tuple[Report, int, list[str]]:
     if ns.kmax < 1:
         raise InputError(f"--kmax must be >= 1, got {ns.kmax}")
@@ -260,16 +278,18 @@ def _cmd_enumerate(ns) -> tuple[Report, int, list[str]]:
     found = enumerate_isotropic(h, ns.kmax)
     # x.H is the dot product of x with G H, which is computed once
     gh = gram_times(h.num.coords)
-    rows = [{"pairing": sum(map(mul, x.coords, gh)), "class": str(x)} for x in found]
+    row = _JSON_ROW if ns.json else _TEXT_ROW
+    rows = [row % (sum(map(mul, x.coords, gh)), *x.coords) for x in found]
     payload = {
         "class": str(h),
         "kmax": ns.kmax,
         "count": len(found),
-        "classes": rows,
+        "classes": [],
     }
+    if ns.json:
+        return Report("enumerate", payload, json_rows=rows), OK, []
     lines = [f"{len(found)} primitive isotropic classes with pairing <= {ns.kmax}:"]
-    lines += [f"  k={r['pairing']}  {r['class']}" for r in rows]
-    return Report("enumerate", payload), OK, lines
+    return Report("enumerate", payload), OK, lines + rows
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +515,13 @@ def main(argv: list[str] | None = None) -> int:
             [f"error: {exc}"],
         )
     if ns.json:
-        print(json.dumps(report.as_dict(), indent=2))
+        text = json.dumps(report.as_dict(), indent=2)
+        if report.json_rows:
+            # "classes" is the last key of the payload, and nothing before
+            # it contains this text
+            block = '"classes": [\n%s\n    ]' % ",\n".join(report.json_rows)
+            text = text.replace('"classes": []', block, 1)
+        print(text)
     else:
         for line in lines:
             print(line)

@@ -405,10 +405,15 @@ class _SliceEnumerator:
 
 
 def _primitive_layer(enum: _SliceEnumerator, k: int) -> list[NumClass]:
-    """Primitive effective solutions on the slice H.x = k, sorted by coordinates."""
-    layer = [
-        x for x in enum.solutions(k) if inner(x, DELTA) > 0 and divisibility(x) == 1
-    ]
+    """Primitive solutions on the slice H.x = k >= 1, sorted by coordinates.
+
+    They are all effective, so no test of x.D is made.  Every caller has
+    required H effective with H.H > 0, so H lies in the positive cone C+
+    that contains D.  A nonzero isotropic x pairs nonzero with every
+    y in C+ (y-perp is negative definite), so by connectedness x.y has
+    one sign on all of C+; x.H = k > 0 makes it positive, and x.D > 0.
+    """
+    layer = [x for x in enum.solutions(k) if divisibility(x) == 1]
     layer.sort(key=lambda x: x.coords)
     return layer
 
@@ -418,7 +423,10 @@ def enumerate_isotropic(h: PicClass, kmax: int) -> list[NumClass]:
 
     Sorted by (nu.H, coordinates).  Slices with no integral point are
     silently empty; that happens whenever gcd of the pairing form does not
-    divide k.
+    divide k.  nu.D > 0 is not tested: H effective of positive square lies
+    in the positive cone of D, and an isotropic class pairing positively
+    with one class of that cone pairs positively with all of it (see
+    _primitive_layer).
     """
     if h.square <= 0:
         raise ValueError("need a class of positive square")

@@ -132,16 +132,16 @@ def _num(literal):
     return NumClass(tuple(int(c) for c in body.split(",")))
 
 
-@pytest.mark.parametrize(
-    "expression, kmax",
-    [
-        ("num[0,1,1,0,0,0,0,0,0,0]", 3),
-        ("num[1,-1,0,0,0,0,0,0,0,0]", 3),
-        ("num[2,-1,0,0,-1,0,0,-1,0,0]", 4),
-        ("2E1+2E2+E3", 3),
-        ("4E1+3E2+K", 4),
-    ],
-)
+_ENUMERATE_INPUTS = [
+    ("num[0,1,1,0,0,0,0,0,0,0]", 3),
+    ("num[1,-1,0,0,0,0,0,0,0,0]", 3),
+    ("num[2,-1,0,0,-1,0,0,-1,0,0]", 4),
+    ("2E1+2E2+E3", 3),
+    ("4E1+3E2+K", 4),
+]
+
+
+@pytest.mark.parametrize("expression, kmax", _ENUMERATE_INPUTS)
 def test_enumerate_json_pairings_equal_inner(expression, kmax):
     code, rep = run_json(["enumerate", expression, "--kmax", str(kmax)])
     assert code == OK
@@ -149,6 +149,45 @@ def test_enumerate_json_pairings_equal_inner(expression, kmax):
     assert rows and len(rows) == rep["payload"]["count"]
     h = _num(rep["payload"]["class"])
     assert all(row["pairing"] == inner(_num(row["class"]), h) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "expression, kmax", _ENUMERATE_INPUTS + [("2E1+2E{1,2}", 3)]
+)
+def test_enumerate_output_is_json_dumps_of_report(expression, kmax):
+    # the class rows are rendered from a template, not by json.dumps
+    argv = ["enumerate", expression, "--kmax", str(kmax)]
+    code, out = run_cli(argv + ["--json"])
+    assert code == OK
+    rep = json.loads(out)
+    assert out == json.dumps(rep, indent=2) + "\n"
+    rows = rep["payload"]["classes"]
+    assert len(rows) == rep["payload"]["count"]
+    code, text = run_cli(argv)
+    assert code == OK
+    want = [f"{len(rows)} primitive isotropic classes with pairing <= {kmax}:"]
+    want += [f"  k={r['pairing']}  {r['class']}" for r in rows]
+    assert text == "\n".join(want) + "\n"
+
+
+@pytest.mark.parametrize(
+    "literal, why",
+    [
+        ("num[-1,0,0,0,0,0,0,0,0,0]", "need an effective class"),
+        ("num[0,1,0,0,0,0,0,0,0,0]", "need a class of positive square"),
+    ],
+)
+def test_enumerate_rejects_unusable_class(literal, why):
+    argv = ["enumerate", literal, "--kmax", "2"]
+    code, rep = run_json(argv)
+    assert code == FAIL
+    assert rep == {
+        "command": "enumerate",
+        "status": "error",
+        "message": why,
+        "payload": None,
+    }
+    assert run_cli(argv) == (FAIL, f"error: {why}\n")
 
 
 @pytest.mark.parametrize("kmax", ["0", "-3"])

@@ -151,6 +151,18 @@ def test_enumerate_output_contract(num, kmax):
     assert pairings == sorted(pairings)
 
 
+@given(fiber_combos, st.integers(min_value=1, max_value=4))
+@example(F[1] + F[2], 4)
+@example(DELTA, 4)
+@settings(max_examples=40, deadline=None)
+def test_slice_solutions_are_effective(num, k):
+    # _primitive_layer tests no x.D: an isotropic class pairing positively
+    # with H in the positive cone pairs positively with D
+    assume(num.square > 0)
+    for x in _SliceEnumerator(num).solutions(k):
+        assert inner(x, DELTA) > 0
+
+
 # counts measured with the earlier Fraction-based enumerator
 @pytest.mark.parametrize("kmax, count", [(2, 242), (3, 4562), (4, 35282)])
 def test_enumerate_counts_f1_plus_f2(kmax, count):
