@@ -295,36 +295,49 @@ def _cmd_enumerate(ns) -> tuple[Report, int, list[str]]:
 # ---------------------------------------------------------------------------
 # table verification
 
+# what a row's check may raise: the row becomes a FAIL that shows the
+# message, and the other rows are still checked
+_ROW_ERRORS = (ArithmeticError, ValueError, DatabaseError)
+
+
 def _verify_bounds() -> list[dict]:
     rows = []
     for text, kind, val in BOUND_TABLE:
-        iv = h1_tangent_k3(parse(text))
-        if kind == "=":
-            good = iv.exact and iv.value == val
-        else:
-            good = (not iv.exact) and iv.lower == 0 and iv.upper == val
+        cert = "no certificate"
+        try:
+            iv = h1_tangent_k3(parse(text))
+            cert = _certificate_text(iv.certificate)
+            computed = _interval_text(iv)
+            if kind == "=":
+                good = iv.exact and iv.value == val
+            else:
+                good = (not iv.exact) and iv.lower == 0 and iv.upper == val
+        except _ROW_ERRORS as exc:
+            computed = f"raised: {exc}"
+            good = False
         rows.append(
             {
                 "table": "k3-bounds",
                 "row": text,
                 "expected": f"{kind}{val}",
-                "computed": _interval_text(iv),
+                "computed": computed,
                 "ok": good,
-                "certificate": _certificate_text(iv.certificate),
+                "certificate": cert,
             }
         )
     return rows
 
 
 def _fiber_row(table: str, rec: ComponentRecord, expected: int) -> dict:
+    cert = "no certificate"
     try:
+        cert = _certificate_text(h1_tangent_k3(rec.dtype).certificate)
         fd = fiber_dimension(rec)
         computed: object = fd
         good = fd == expected
-    except (ArithmeticError, ValueError, DatabaseError) as exc:
+    except _ROW_ERRORS as exc:
         computed = f"raised: {exc}"
         good = False
-    cert = _certificate_text(h1_tangent_k3(rec.dtype).certificate)
     return {
         "table": table,
         "row": rec.label,
@@ -344,7 +357,7 @@ def _verify_phi3plus() -> list[dict]:
             cap = extendability_cap(rec)
             computed: object = "none" if cap is None else cap
             good = cap == rec.extendability_cap
-        except (ArithmeticError, ValueError) as exc:
+        except _ROW_ERRORS as exc:
             computed = f"raised: {exc}"
             good = False
         expected = (
@@ -398,7 +411,7 @@ def _verify_triple() -> list[dict]:
             got = phi2_triple_family_total(k)
             computed: object = got
             good = got == expected
-        except ArithmeticError as exc:
+        except _ROW_ERRORS as exc:
             computed = f"raised: {exc}"
             good = False
         rows.append(

@@ -26,14 +26,14 @@ when one h1 vanishes) started from a multiple of the degree-8 class
 (G1 + G2)~, whose section ring is generated in degree one; without a
 certified chain the interval stays open above.
 
-Eight containment patterns of decomposition symbols force the K3 number
-to vanish; their replays below re-verify every required vanishing
+Seven rows of containment patterns of decomposition symbols force the K3
+number to vanish (the mirror of the power-link row is no row of its own,
+see _PATTERNS); their replays below re-verify every required vanishing
 numerically against the actual class rather than trusting the shape.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
@@ -117,7 +117,15 @@ def _check_half_fiber(e: PicClass, name: str) -> None:
         raise ValueError(f"{name} must be effective")
 
 
-def _check_polarization(h: PicClass) -> None:
+def _check_pair(
+    h: PicClass, a: PicClass, b: PicClass, names: tuple[str, str], k: int
+) -> None:
+    """The checks both routes share: a and b, called names in the messages,
+    are half-fiber classes with a.b = k, and H is big and nef."""
+    _check_half_fiber(a, names[0])
+    _check_half_fiber(b, names[1])
+    if inner(a.num, b.num) != k:
+        raise ValueError(f"need {names[0]}.{names[1]} = {k}")
     if h.square <= 0 or not is_nef(h):
         raise ValueError("H must be big and nef")
 
@@ -134,11 +142,7 @@ def alpha(h: PicClass, f1: PicClass, f2: PicClass) -> int:
     bundle on the nose.  F1, F2 must be half-fiber classes with F1.F2 = 1
     and H big and nef.
     """
-    _check_half_fiber(f1, "F1")
-    _check_half_fiber(f2, "F2")
-    if inner(f1.num, f2.num) != 1:
-        raise ValueError("need F1.F2 = 1")
-    _check_polarization(h)
+    _check_pair(h, f1, f2, ("F1", "F2"), 1)
     return k3_coh(h - 2 * f1).h1 + k3_coh(h - 2 * f2).h1
 
 
@@ -160,11 +164,7 @@ def beta_bounds(h: PicClass, f1: PicClass, f2: PicClass) -> BetaBounds:
     B = 4F1 + 4F2 - H, restriction squeezes beta between
     h0(B~) - h0(A~) and that plus h1(A~), exact when h1(A~) = 0.
     """
-    _check_half_fiber(f1, "F1")
-    _check_half_fiber(f2, "F2")
-    if inner(f1.num, f2.num) != 1:
-        raise ValueError("need F1.F2 = 1")
-    _check_polarization(h)
+    _check_pair(h, f1, f2, ("F1", "F2"), 1)
     if inner((f1 + f2).num, h.num) > 8:
         return BetaBounds(0, 0, True, None, None)
     a = 2 * f1 + 2 * f2 - h
@@ -221,14 +221,10 @@ def gamma_delta(h: PicClass, g1: PicClass, g2: PicClass) -> GammaDelta:
     flag reports the degenerate case H = G1 + G2 numerically, where the
     embedding collapses and the caller must use the constant answer 12.
     """
-    _check_half_fiber(g1, "G1")
-    _check_half_fiber(g2, "G2")
-    if inner(g1.num, g2.num) != 2:
-        raise ValueError("need G1.G2 = 2")
+    _check_pair(h, g1, g2, ("G1", "G2"), 2)
     w = g1 + g2
     if not is_nef(w):
         raise ValueError("G1 + G2 must be nef")
-    _check_polarization(h)
     return GammaDelta(
         gamma=k3_coh(h - w).h1,
         delta=k3_coh(2 * w - h).h0,
@@ -311,25 +307,39 @@ def _epsilon_chain(
     return certify_mult_surjective(start, parts)
 
 
+def _pair_bound(d: DecompositionType, h: PicClass, s: Symbol, t: Symbol) -> H1Interval:
+    """Bound through the symbol pair (s, t) of d: the double cover for a
+    transverse pair, the embedding with its epsilon chain for a linked one."""
+    if pairing(s, t) == 1:
+        return h1_bound_double_cover(h, _sym_class(s), _sym_class(t))
+    eps = _epsilon_chain(d, h, s, t)
+    return h1_bound_embedding(h, _sym_class(s), _sym_class(t), eps)
+
+
 # ---------------------------------------------------------------------------
 # vanishing patterns
 
-# slot coefficient minimums plus the set of slot pairs required to pair
-# to 2 (all other slot pairs must pair to 1); "pure" patterns must use up
-# the whole type
-_PATTERNS: tuple[tuple[str, tuple[int, ...], frozenset[frozenset[int]], bool], ...] = (
-    ("five-transverse", (1, 1, 1, 1, 1), frozenset(), False),
-    ("double-anchor", (2, 1, 1, 1), frozenset(), False),
-    ("triple-anchor", (3, 1, 1), frozenset(), False),
-    ("five-three", (5, 3), frozenset(), False),
-    ("anchored-link", (2, 1, 1), frozenset({frozenset({0, 2})}), False),
-    ("shared-link", (1, 1, 1), frozenset({frozenset({0, 2}), frozenset({1, 2})}), False),
-    ("power-link-32", (3, 2), frozenset({frozenset({0, 1})}), True),
-    ("power-link-23", (2, 3), frozenset({frozenset({0, 1})}), True),
+# One row per pattern: (name, mins, links, pure, tries).  mins are the slot
+# coefficient minimums, links the slot pairs that must pair to 2 (all other
+# slot pairs must pair to 1), and a pure pattern must use up the whole type.
+# tries are the slot pairs the replay bounds through _pair_bound, in order;
+# five-transverse has None, because its F's are not slots and come from
+# _replay_five.  The mirror power-link row (2, 3) is not listed: its picks
+# are the reversed picks of power-link-32 and the embedding bound depends
+# only on W = G1 + G2.
+_SlotPairs = tuple[tuple[int, int], ...]
+_PATTERNS: tuple[tuple[str, tuple[int, ...], _SlotPairs, bool, _SlotPairs | None], ...] = (
+    ("five-transverse", (1, 1, 1, 1, 1), (), False, None),
+    ("double-anchor", (2, 1, 1, 1), (), False, ((0, 1), (0, 2), (0, 3))),
+    ("triple-anchor", (3, 1, 1), (), False, ((0, 1), (0, 2))),
+    ("five-three", (5, 3), (), False, ((0, 1),)),
+    ("anchored-link", (2, 1, 1), ((0, 2),), False, ((0, 1),)),
+    ("shared-link", (1, 1, 1), ((0, 2), (1, 2)), False, ((0, 2), (1, 2))),
+    ("power-link-32", (3, 2), ((0, 1),), True, ((0, 1),)),
 )
 
 
-def _assignments(d: DecompositionType, mins, pair2, pure):
+def _assignments(d: DecompositionType, mins, links, pure):
     syms = [s for _, s in d.terms]
     coeffs = [c for c, _ in d.terms]
     n = len(syms)
@@ -342,7 +352,7 @@ def _assignments(d: DecompositionType, mins, pair2, pure):
         good = True
         for i in range(k):
             for j in range(i + 1, k):
-                need = 2 if frozenset({i, j}) in pair2 else 1
+                need = 2 if (i, j) in links else 1
                 if pairing(syms[slots[i]], syms[slots[j]]) != need:
                     good = False
                     break
@@ -350,36 +360,6 @@ def _assignments(d: DecompositionType, mins, pair2, pure):
                 break
         if good:
             yield [syms[t] for t in slots]
-
-
-def _wrap_pattern(name: str, iv: H1Interval) -> H1Interval:
-    inner_cert = iv.certificate
-    cert = Certificate(
-        "isotropic-pattern",
-        inner_cert.aux,
-        inner_cert.values,
-        note=f"pattern {name} via {inner_cert.method}",
-    )
-    return H1Interval(iv.lower, iv.upper, cert)
-
-
-def _replay_transverse(
-    name: str, d: DecompositionType, h: PicClass, picks: list[Symbol]
-) -> H1Interval | None:
-    """Patterns made of pairwise-transverse slots.
-
-    The anchor slot (largest minimum) serves as F1 when its coefficient
-    allows the vanishings; for the five-transverse pattern the F's come
-    from a search instead, since no slot can serve.
-    """
-    if name == "five-transverse":
-        return _replay_five(d, h, picks)
-    x = _sym_class(picks[0])
-    for other in picks[1:]:
-        iv = h1_bound_double_cover(h, x, _sym_class(other))
-        if iv.exact:
-            return _wrap_pattern(name, iv)
-    return None
 
 
 # The five-transverse search draws its F's from a fixed pool of 55 classes,
@@ -436,47 +416,29 @@ def _replay_five(d: DecompositionType, h: PicClass, picks: list[Symbol]) -> H1In
             )
             tried += 1
             if iv.exact:
-                return _wrap_pattern("five-transverse", iv)
+                return iv
             if tried >= 40:
                 return None
     return None
 
 
-def _replay_linked(
-    name: str, d: DecompositionType, h: PicClass, picks: list[Symbol]
-) -> H1Interval | None:
-    if name == "anchored-link":
-        x, y, _ = picks
-        iv = h1_bound_double_cover(h, _sym_class(x), _sym_class(y))
-        if iv.exact:
-            return _wrap_pattern(name, iv)
-        return None
-    if name == "shared-link":
-        x, y, z = picks
-        for left in (x, y):
-            eps = _epsilon_chain(d, h, left, z)
-            iv = h1_bound_embedding(h, _sym_class(left), _sym_class(z), eps)
-            if iv.exact:
-                return _wrap_pattern(name, iv)
-        return None
-    # power-link: the whole type is k*X + l*Z with X.Z = 2
-    x, z = picks
-    eps = _epsilon_chain(d, h, x, z)
-    iv = h1_bound_embedding(h, _sym_class(x), _sym_class(z), eps)
-    if iv.exact:
-        return _wrap_pattern(name, iv)
-    return None
-
-
 def _pattern_scan(d: DecompositionType, h: PicClass) -> H1Interval | None:
-    for name, mins, pair2, pure in _PATTERNS:
-        for picks in _assignments(d, mins, pair2, pure):
-            if pair2:
-                iv = _replay_linked(name, d, h, picks)
+    for name, mins, links, pure, tries in _PATTERNS:
+        for picks in _assignments(d, mins, links, pure):
+            if tries is None:
+                iv = _replay_five(d, h, picks)
             else:
-                iv = _replay_transverse(name, d, h, picks)
+                bounds = (_pair_bound(d, h, picks[i], picks[j]) for i, j in tries)
+                iv = next((b for b in bounds if b.exact), None)
             if iv is not None:
-                return iv
+                found = iv.certificate
+                cert = Certificate(
+                    "isotropic-pattern",
+                    found.aux,
+                    found.values,
+                    note=f"pattern {name} via {found.method}",
+                )
+                return H1Interval(iv.lower, iv.upper, cert)
     return None
 
 
@@ -498,18 +460,6 @@ BOUND_TABLE: tuple[tuple[str, str, int], ...] = (
     ("E1+E2+E3", "=", 8),
     ("E1+E{1,2}", "=", 12),
 )
-
-
-def _pair_search(d: DecompositionType, h: PicClass) -> Iterator[H1Interval]:
-    """Bound through every generator pair of d in term order: the double
-    cover for a transverse pair, the embedding for a linked one."""
-    syms = [s for _, s in d.terms]
-    for si, sj in combinations(syms, 2):
-        if pairing(si, sj) == 1:
-            yield h1_bound_double_cover(h, _sym_class(si), _sym_class(sj))
-        else:
-            eps = _epsilon_chain(d, h, si, sj)
-            yield h1_bound_embedding(h, _sym_class(si), _sym_class(sj), eps)
 
 
 def phi1_family_total(g: int) -> int:
@@ -575,12 +525,14 @@ def _closed_form(d: DecompositionType) -> H1Interval | None:
 def h1_tangent_k3(d: DecompositionType) -> H1Interval:
     """Best certified interval for the twisted tangent h1 on the K3 cover.
 
-    Strategies in order: vanishing-pattern replay, then the bound of
-    every generator pair in term order (double cover for a transverse
-    pair, embedding for a linked one), then the family closed forms.  The
-    first exact result wins, and no later pair is tried; otherwise every
-    pair bound is intersected.  A closed form that
-    falls outside the independently derived bounds raises, by design.
+    Strategies in order: the seven vanishing-pattern rows of _PATTERNS,
+    then _pair_bound on every generator pair in term order, then the
+    family closed forms.  _pair_bound is the one place a pair's bound is
+    chosen (double cover for a transverse pair, embedding for a linked
+    one), for the pattern replays and the pair search alike.  The first
+    exact result wins, and no later pair is tried; otherwise every pair
+    bound is intersected.  A closed form that falls outside the
+    independently derived bounds raises, by design.
     """
     ok, why = validate_simple(d)
     if not ok:
@@ -592,7 +544,8 @@ def h1_tangent_k3(d: DecompositionType) -> H1Interval:
     if found is not None:
         return found
     collected: list[H1Interval] = []
-    for cand in _pair_search(d, h):
+    for s, t in combinations([sym for _, sym in d.terms], 2):
+        cand = _pair_bound(d, h, s, t)
         if cand.exact:
             return cand
         collected.append(cand)

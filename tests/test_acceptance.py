@@ -167,7 +167,7 @@ PATTERN_SEEDS = [
     ("anchored-link", "2E1+E3+E{1,2}", False),
     ("shared-link", "E1+E2+E{1,2}", False),
     ("power-link-32", "3E1+2E{1,2}", True),
-    ("power-link-23", "2E1+3E{1,2}", True),
+    ("power-link-32 reversed", "2E1+3E{1,2}", True),
 ]
 
 

@@ -6,7 +6,14 @@ import json
 
 import pytest
 
+from enriques_invariants import cli, moduli
 from enriques_invariants.cli import FAIL, OK, USAGE, main
+from enriques_invariants.decomposition import (
+    DatabaseError,
+    all_tabulated_components,
+    components,
+    parse,
+)
 from enriques_invariants.lattice import NumClass, inner
 
 
@@ -214,6 +221,57 @@ def test_verify_tables_all():
     # bounds 10 + fiber/cap rows for every tabulated and generated family
     assert len(rows) >= 10 + 22 + 12 + 14 + 9
     assert all({"table", "row", "expected", "computed", "certificate"} <= set(r) for r in rows)
+
+
+def _plant(monkeypatch, modules, name, exc, target):
+    # replace modules' name by a wrapper that raises exc("planted") on target
+    real = getattr(modules[0], name)
+
+    def planted(arg):
+        if arg == target:
+            raise exc("planted")
+        return real(arg)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, planted)
+
+
+def test_verify_tables_keeps_rows_when_one_h1_raises(monkeypatch):
+    rec = components(5, 1)[0]
+    _plant(monkeypatch, (cli, moduli), "h1_tangent_k3", ArithmeticError, rec.dtype)
+    code, rep = run_json(["verify-tables", "--scope", "phi1"])
+    assert code == FAIL
+    rows = rep["payload"]
+    assert len(rows) == 14
+    bad = [r for r in rows if not r["ok"]]
+    assert [(r["row"], r["computed"]) for r in bad] == [(rec.label, "raised: planted")]
+    code, out = run_cli(["verify-tables", "--scope", "phi1"])
+    assert out.count("FAIL") == 1 and out.count("PASS") == 13
+    line = f"FAIL phi1-fiber {rec.label}: expected {rec.fiber_dim_chi}, computed raised: planted"
+    assert line in out
+
+
+@pytest.mark.parametrize(
+    "scope, name, exc, target, row",
+    [
+        ("bounds", "h1_tangent_k3", ArithmeticError, parse("4E1+4E2"), "k3-bounds"),
+        (
+            "phi3plus",
+            "extendability_cap",
+            DatabaseError,
+            all_tabulated_components()[0],
+            "phi3plus-cap",
+        ),
+        ("triple", "phi2_triple_family_total", ValueError, 3, "triple-family"),
+    ],
+    ids=["bounds", "phi3plus-cap", "triple"],
+)
+def test_verify_tables_runners_catch_every_row_error(monkeypatch, scope, name, exc, target, row):
+    _plant(monkeypatch, (cli,), name, exc, target)
+    code, rep = run_json(["verify-tables", "--scope", scope])
+    assert code == FAIL
+    bad = [r for r in rep["payload"] if not r["ok"]]
+    assert [(r["table"], r["computed"]) for r in bad] == [(row, "raised: planted")]
 
 
 def test_verify_tables_text_has_row_lines():

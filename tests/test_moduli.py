@@ -199,23 +199,29 @@ def test_interval_value_guard():
 # --- driver ----------------------------------------------------------------
 
 
+# one instance per pattern row, with its certificate note and aux keys;
+# 2E1+3E{1,2} is the mirror of 3E1+2E{1,2} and reads as the same row
 PATTERN_INSTANCES = [
-    "E1+E2+E3+E4+E5",
-    "2E1+E2+E3+E4",
-    "3E1+E2+E3",
-    "5E1+3E2",
-    "2E1+E3+E{1,2}",
-    "E1+E2+E{1,2}",
-    "3E1+2E{1,2}",
-    "2E1+3E{1,2}",
+    ("E1+E2+E3+E4+E5", "pattern five-transverse via double-cover", ("F1", "F2")),
+    ("2E1+E2+E3+E4", "pattern double-anchor via double-cover", ("F1", "F2", "A", "B")),
+    ("3E1+E2+E3", "pattern triple-anchor via double-cover", ("F1", "F2", "A", "B")),
+    ("5E1+3E2", "pattern five-three via double-cover", ("F1", "F2", "A", "B")),
+    ("2E1+E3+E{1,2}", "pattern anchored-link via double-cover", ("F1", "F2", "A", "B")),
+    ("E1+E2+E{1,2}", "pattern shared-link via embedding", ("G1", "G2")),
+    ("3E1+2E{1,2}", "pattern power-link-32 via embedding", ("G1", "G2")),
+    ("2E1+3E{1,2}", "pattern power-link-32 via embedding", ("G1", "G2")),
 ]
 
 
-@pytest.mark.parametrize("text", PATTERN_INSTANCES)
-def test_driver_pattern_instances_vanish(text):
+@pytest.mark.parametrize(
+    "text, note, aux", PATTERN_INSTANCES, ids=[t for t, *_ in PATTERN_INSTANCES]
+)
+def test_driver_pattern_instances_vanish(text, note, aux):
     iv = h1_tangent_k3(parse(text))
     assert iv.exact and iv.value == 0
     assert iv.certificate.method == "isotropic-pattern"
+    assert iv.certificate.note == note
+    assert tuple(k for k, _ in iv.certificate.aux) == aux
 
 
 def test_driver_pinned_examples():
@@ -546,3 +552,26 @@ def test_epsilon_chain_matches_loop_on_bound_table(text):
 @given(_simple_types())
 def test_epsilon_chain_matches_loop(d):
     _assert_chain_matches_loop(d)
+
+
+def _relabel(d, perm, order):
+    # S10 relabelling i -> perm[i - 1] of every index, then the terms in order
+    terms = [(c, Symbol(tuple(sorted(perm[i - 1] for i in s.indices)))) for c, s in d.terms]
+    return DecompositionType(tuple(terms[k] for k in order), d.eps)
+
+
+def _label_or_missing(d):
+    try:
+        return component_of(d).label
+    except DatabaseError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_simple_types(), st.permutations(range(1, 11)), st.data())
+def test_driver_and_lookup_invariant_under_relabelling(d, perm, data):
+    order = data.draw(st.permutations(range(len(d.terms))))
+    e = _relabel(d, perm, order)
+    a, b = h1_tangent_k3(d), h1_tangent_k3(e)
+    assert (a.lower, a.upper) == (b.lower, b.upper)
+    assert _label_or_missing(d) == _label_or_missing(e)
