@@ -196,9 +196,11 @@ def _cmd_analyze(ns) -> tuple[Report, int, list[str]]:
         lines.append(f"component: not tabulated ({exc})")
         lines.append("status: inconclusive")
         return Report("analyze", payload, "inconclusive", str(exc)), FAIL, lines
-    fiber = fiber_dimension(rec)
+    # component_of matched d to rec by canonical type, and the driver is
+    # invariant under relabelling, so d's interval is rec's
+    fiber = fiber_dimension(rec, iv)
     split = enriques_split(rec.h1_split[0] + rec.h1_split[1], rec)
-    cap = extendability_cap(rec) if rec.phi >= 3 else None
+    cap = extendability_cap(rec, fiber) if rec.phi >= 3 else None
     payload["component"] = rec.label
     payload["split"] = {"h1_H": split.h1_H, "h1_HK": split.h1_HK, "rule": split.rule}
     payload["fiber_dim_chi"] = fiber
@@ -331,8 +333,9 @@ def _verify_bounds() -> list[dict]:
 def _fiber_row(table: str, rec: ComponentRecord, expected: int) -> dict:
     cert = "no certificate"
     try:
-        cert = _certificate_text(h1_tangent_k3(rec.dtype).certificate)
-        fd = fiber_dimension(rec)
+        iv = h1_tangent_k3(rec.dtype)
+        cert = _certificate_text(iv.certificate)
+        fd = fiber_dimension(rec, iv)
         computed: object = fd
         good = fd == expected
     except _ROW_ERRORS as exc:
@@ -349,17 +352,24 @@ def _fiber_row(table: str, rec: ComponentRecord, expected: int) -> dict:
 
 
 def _verify_phi3plus() -> list[dict]:
-    rows = []
-    for rec in all_tabulated_components():
-        rows.append(_fiber_row("phi3plus-fiber", rec, rec.fiber_dim_chi))
-    for rec in all_tabulated_components():
-        try:
-            cap = extendability_cap(rec)
-            computed: object = "none" if cap is None else cap
-            good = cap == rec.extendability_cap
-        except _ROW_ERRORS as exc:
-            computed = f"raised: {exc}"
+    recs = all_tabulated_components()
+    fiber_rows = [_fiber_row("phi3plus-fiber", rec, rec.fiber_dim_chi) for rec in recs]
+    rows = list(fiber_rows)
+    for rec, fiber_row in zip(recs, fiber_rows):
+        # the cap is checked against the fiber dimension of its fiber row;
+        # when that computation raised, the cap row shows the same message
+        fiber = fiber_row["computed"]
+        if isinstance(fiber, str):
+            computed: object = fiber
             good = False
+        else:
+            try:
+                cap = extendability_cap(rec, fiber)
+                computed = "none" if cap is None else cap
+                good = cap == rec.extendability_cap
+            except _ROW_ERRORS as exc:
+                computed = f"raised: {exc}"
+                good = False
         expected = (
             "none" if rec.extendability_cap is None else rec.extendability_cap
         )

@@ -143,6 +143,11 @@ def alpha(h: PicClass, f1: PicClass, f2: PicClass) -> int:
     and H big and nef.
     """
     _check_pair(h, f1, f2, ("F1", "F2"), 1)
+    return _alpha(h, f1, f2)
+
+
+def _alpha(h: PicClass, f1: PicClass, f2: PicClass) -> int:
+    """alpha on a pair that already passed _check_pair."""
     return k3_coh(h - 2 * f1).h1 + k3_coh(h - 2 * f2).h1
 
 
@@ -165,6 +170,11 @@ def beta_bounds(h: PicClass, f1: PicClass, f2: PicClass) -> BetaBounds:
     h0(B~) - h0(A~) and that plus h1(A~), exact when h1(A~) = 0.
     """
     _check_pair(h, f1, f2, ("F1", "F2"), 1)
+    return _beta_bounds(h, f1, f2)
+
+
+def _beta_bounds(h: PicClass, f1: PicClass, f2: PicClass) -> BetaBounds:
+    """beta_bounds on a pair that already passed _check_pair."""
     if inner((f1 + f2).num, h.num) > 8:
         return BetaBounds(0, 0, True, None, None)
     a = 2 * f1 + 2 * f2 - h
@@ -184,10 +194,12 @@ def h1_bound_double_cover(h: PicClass, f1: PicClass, f2: PicClass) -> H1Interval
 
     h1 <= alpha + beta always, and h1 = beta when alpha = 0; combined with
     beta_bounds this gives an interval, exact when alpha = 0 and the beta
-    bounds close up.
+    bounds close up.  The pair is checked once, as alpha and beta_bounds
+    would check it.
     """
-    a = alpha(h, f1, f2)
-    bb = beta_bounds(h, f1, f2)
+    _check_pair(h, f1, f2, ("F1", "F2"), 1)
+    a = _alpha(h, f1, f2)
+    bb = _beta_bounds(h, f1, f2)
     aux = [("F1", str(f1)), ("F2", str(f2))]
     if bb.branch_twist is not None:
         aux.append(("A", str(bb.branch_twist)))
@@ -633,15 +645,18 @@ def enriques_split(total: H1Interval | int, comp: ComponentRecord) -> EnriquesSp
     return EnriquesSplit(a, b, "golden")
 
 
-def fiber_dimension(comp: ComponentRecord) -> int:
+def fiber_dimension(comp: ComponentRecord, iv: H1Interval | None = None) -> int:
     """General fiber dimension of the period-type map on this component.
 
-    Recomputes the K3 total from the decomposition type; if the
-    computation is exact it must agree with the stored split, otherwise
-    the stored total must at least fall inside the computed interval.
-    Any mismatch raises loudly.
+    Recomputes the K3 total from the decomposition type, or takes it as
+    iv: the h1_tangent_k3 interval of comp's type or of an S10 relabelling
+    of it (a renumbering of E1..E10), which has the same bounds.  If the
+    interval is exact it must agree with the stored split, otherwise the
+    stored total must at least fall inside it.  Any mismatch raises
+    loudly.
     """
-    iv = h1_tangent_k3(comp.dtype)
+    if iv is None:
+        iv = h1_tangent_k3(comp.dtype)
     stored = comp.h1_split[0] + comp.h1_split[1]
     if iv.exact:
         if iv.value != stored:
@@ -672,17 +687,18 @@ def fiber_dimension_curves(comp: ComponentRecord) -> int:
     return fiber_dimension(comp)
 
 
-def extendability_cap(comp: ComponentRecord) -> int | None:
+def extendability_cap(comp: ComponentRecord, fiber: int) -> int | None:
     """Largest N with (S, H) extendable to a nondegenerate N-step tower.
 
     Only meaningful in the embedding regime phi >= 3; the cap equals the
     fiber dimension when positive and is None when the fiber dimension
-    vanishes (no nontrivial extension).
+    vanishes (no nontrivial extension).  fiber is comp's fiber dimension
+    as fiber_dimension computed it; the cap derived from it must equal the
+    stored one.
     """
     if comp.phi < 3:
         raise ValueError("extendability caps apply to phi >= 3 components only")
-    v = fiber_dimension(comp)
-    cap = None if v == 0 else v
+    cap = None if fiber == 0 else fiber
     if cap != comp.extendability_cap:
         raise ArithmeticError(f"extendability cap drifted for {comp.label}")
     return cap

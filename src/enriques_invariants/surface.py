@@ -27,6 +27,7 @@ denominator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -441,6 +442,7 @@ def enumerate_isotropic(h: PicClass, kmax: int) -> list[NumClass]:
     return found
 
 
+@functools.lru_cache(maxsize=1)
 def phi(h: PicClass) -> PhiResult:
     """min E.H over primitive isotropic effective E, with a witness.
 
@@ -450,6 +452,13 @@ def phi(h: PicClass) -> PhiResult:
     to the lexicographically smallest coordinate vector.  The witness is
     returned with torsion bit 0 (both torsion lifts of a half-fiber class
     are effective).
+
+    The last class and its (immutable) result are remembered, so `enriques
+    analyze`, which asks for phi of its class in the CLI and again inside
+    component_of, searches once; a call that raises is not remembered.  One
+    entry removes only that repeat, so classes recurring across calls are
+    searched again.  The memo goes once analyze passes its phi down to
+    component_of instead of asking twice.
     """
     sq = h.square
     if sq <= 0 or not is_effective(h):

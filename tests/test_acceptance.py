@@ -302,10 +302,12 @@ def test_criterion_9_extendability_caps():
     ]
     by_label = {c.label: c for c in all_tabulated_components()}
     for label, want in want_caps:
-        got = extendability_cap(by_label[label])
+        comp = by_label[label]
+        got = extendability_cap(comp, fiber_dimension(comp))
         if got != want:
             failures.append((label, got, want))
     for label in ("E_{17,4}^{(IV)-}", "E_{13,4}^{(II)-}", "E_{9,4}^-"):
-        if extendability_cap(by_label[label]) is not None:
+        comp = by_label[label]
+        if extendability_cap(comp, fiber_dimension(comp)) is not None:
             failures.append((label, "expected none"))
     _finish(9, t0, 1, failures)

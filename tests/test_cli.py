@@ -227,10 +227,10 @@ def _plant(monkeypatch, modules, name, exc, target):
     # replace modules' name by a wrapper that raises exc("planted") on target
     real = getattr(modules[0], name)
 
-    def planted(arg):
+    def planted(arg, *rest):
         if arg == target:
             raise exc("planted")
-        return real(arg)
+        return real(arg, *rest)
 
     for module in modules:
         monkeypatch.setattr(module, name, planted)

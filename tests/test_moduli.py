@@ -1,6 +1,7 @@
 """Tests for the twisted-tangent-bundle bounds and moduli fiber dimensions."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,6 +31,7 @@ from enriques_invariants.lattice import (
 )
 from enriques_invariants.moduli import (
     BOUND_TABLE,
+    Certificate,
     H1Interval,
     _epsilon_chain,
     _five_candidates,
@@ -125,6 +127,23 @@ def test_double_cover_exact_implies_alpha_zero():
     )
     assert iv.exact
     assert dict(iv.certificate.values)["alpha"] == 0
+
+
+@pytest.mark.parametrize(
+    "f1, f2, message",
+    [
+        (PicClass(2 * F[1], 0), half_fiber(2), "F1 must be primitive"),
+        (PicClass(E12, 0), half_fiber(1), "need F1.F2 = 1"),
+    ],
+    ids=["non-primitive", "pairing-2"],
+)
+def test_double_cover_checks_its_pair_like_alpha_and_beta(f1, f2, message):
+    # the bound checks the pair once, then runs the unchecked helpers
+    h = PicClass(3 * F[1] + 3 * F[2], 0)
+    for bound in (h1_bound_double_cover, alpha, beta_bounds):
+        with pytest.raises(ValueError) as info:
+            bound(h, f1, f2)
+        assert str(info.value) == message, bound.__name__
 
 
 # --- gamma/delta and embedding bound ---------------------------------------
@@ -388,6 +407,40 @@ def test_fiber_dimension_examples():
     assert fiber_dimension(components(6, 1)[0]) == 4
 
 
+def _database_records():
+    # the 76 records of the component database: the phi >= 3 table and the
+    # generated phi = 2 (g = 3..20) and phi = 1 (g = 2..25) families
+    recs = list(all_tabulated_components())
+    recs += [r for g in range(3, 21) for r in components(g, 2)]
+    recs += [r for g in range(2, 26) for r in components(g, 1)]
+    return recs
+
+
+def test_database_has_76_records():
+    recs = _database_records()
+    assert len(recs) == len({r.label for r in recs}) == 76
+
+
+@pytest.mark.parametrize("rec", _database_records(), ids=lambda r: r.label)
+def test_fiber_dimension_takes_a_relabelled_interval(rec):
+    # analyze passes the interval of its input, a relabelling of rec's type
+    want = fiber_dimension(rec)
+    rng = random.Random(rec.label)
+    for _ in range(3):
+        perm = rng.sample(range(1, 11), 10)
+        order = rng.sample(range(len(rec.dtype.terms)), len(rec.dtype.terms))
+        e = _relabel(rec.dtype, perm, order)
+        assert fiber_dimension(rec, h1_tangent_k3(e)) == want
+
+
+@pytest.mark.parametrize("rec", _database_records(), ids=lambda r: r.label)
+def test_fiber_dimension_checks_the_interval_it_is_given(rec):
+    stored = sum(rec.h1_split)
+    off = H1Interval(stored + 2, stored + 2, Certificate("closed-form"))
+    with pytest.raises(ArithmeticError):
+        fiber_dimension(rec, off)
+
+
 def test_fiber_dimension_curves_agrees():
     # the forgetful cover is finite, so both maps share fiber dimensions
     for comp in all_tabulated_components():
@@ -416,16 +469,26 @@ def test_phi2_lower_bound():
     assert [fiber_dimension(c) for c in components(5, 2)] == [3, 6, 4]
 
 
+def _cap(comp):
+    return extendability_cap(comp, fiber_dimension(comp))
+
+
 def test_extendability_caps():
-    assert extendability_cap(components(9, 4)[0]) == 3
-    assert extendability_cap(component_of(parse("3E1+3E2"))) == 2
+    assert _cap(components(9, 4)[0]) == 3
+    assert _cap(component_of(parse("3E1+3E2"))) == 2
     minus = [c for c in components(17, 4) if c.label == "E_{17,4}^{(IV)-}"]
-    assert extendability_cap(minus[0]) is None
+    assert _cap(minus[0]) is None
 
 
 def test_extendability_rejects_low_phi():
     with pytest.raises(ValueError):
-        extendability_cap(components(5, 2)[0])
+        _cap(components(5, 2)[0])
+
+
+@pytest.mark.parametrize("comp", all_tabulated_components(), ids=lambda c: c.label)
+def test_extendability_cap_checks_the_fiber_it_is_given(comp):
+    with pytest.raises(ArithmeticError, match="drifted"):
+        extendability_cap(comp, comp.fiber_dim_chi + 1)
 
 
 def _symbols():

@@ -120,6 +120,23 @@ def test_phi_of_fundamental_class():
     assert phi(PicClass(DELTA, 0)).value == 3
 
 
+def test_phi_remembers_one_class():
+    assert phi.cache_info().maxsize == 1
+
+
+def test_phi_memo_answers_as_a_fresh_search():
+    h = PicClass(F[1] + F[2] + E12, 0)
+    for c in (h, h + CANONICAL, h):
+        assert phi(c) == phi.__wrapped__(c)
+
+
+def test_phi_raises_on_every_call_for_an_invalid_class():
+    bad = PicClass(-(F[1] + F[2]), 0)  # square 2, not effective
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            phi(bad)
+
+
 def test_enumerate_examples():
     got = enumerate_isotropic(PicClass(F[1] + F[2], 0), 1)
     nums = [c for c in got]
