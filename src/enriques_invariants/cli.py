@@ -45,7 +45,7 @@ from .moduli import (
     BOUND_TABLE,
     Certificate,
     H1Interval,
-    enriques_split,
+    _fiber_split,
     extendability_cap,
     fiber_dimension,
     h1_tangent_k3,
@@ -198,8 +198,8 @@ def _cmd_analyze(ns) -> tuple[Report, int, list[str]]:
         return Report("analyze", payload, "inconclusive", str(exc)), FAIL, lines
     # component_of matched d to rec by canonical type, and the driver is
     # invariant under relabelling, so d's interval is rec's
-    fiber = fiber_dimension(rec, iv)
-    split = enriques_split(rec.h1_split[0] + rec.h1_split[1], rec)
+    split = _fiber_split(rec, iv)
+    fiber = split.h1_H
     cap = extendability_cap(rec, fiber) if rec.phi >= 3 else None
     payload["component"] = rec.label
     payload["split"] = {"h1_H": split.h1_H, "h1_HK": split.h1_HK, "rule": split.rule}

@@ -20,7 +20,7 @@ component.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 from .lattice import NumClass, isotropic_generator, two_isotropic_generator
@@ -285,6 +285,14 @@ class ComponentRecord:
     h1_split: tuple[int, int]
     extendability_cap: int | None
 
+    @cached_property
+    def canonical(self):
+        """canonical_type(self.dtype), computed on first use and kept on
+        the record.  The database records live for the whole process, so
+        each is put in canonical form once; a family record built for one
+        lookup is dropped with its form."""
+        return canonical_type(self.dtype)
+
 
 @lru_cache(maxsize=None)
 def _records() -> tuple[ComponentRecord, ...]:
@@ -396,7 +404,7 @@ def component_of(d: DecompositionType) -> ComponentRecord:
     p = _phi(h).value
     rows, eps = canonical_type(d)
     for rec in components(g, p):
-        rec_rows, rec_eps = canonical_type(rec.dtype)
+        rec_rows, rec_eps = rec.canonical
         if rec_rows != rows:
             continue
         if two_divisible(rec.dtype):

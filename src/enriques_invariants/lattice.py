@@ -180,3 +180,69 @@ def two_isotropic_generator(i: int, j: int) -> NumClass:
 def divisibility(a: NumClass) -> int:
     """gcd of the coordinates; 0 for the zero class."""
     return math.gcd(*a.coords)
+
+
+# ---------------------------------------------------------------------------
+# the W(E10) chamber
+#
+# The simple roots of E10 in this basis are r0 = D - f1 - f2 - f3 and
+# ri = fi - f(i+1) for i = 1..9, all of square -2.  A class x is written by
+# its pairings a = (x.f1, ..., x.f10), which determine it because
+# f1 + ... + f10 = 3D; then x.D = (a1 + ... + a10)/3.  The reflection
+# x -> x + (x.ri) ri swaps a_i and a_(i+1) for i >= 1, and for r0 adds
+# x.r0 = x.D - a1 - a2 - a3 to a1, a2, a3 (and to x.D).
+
+
+def from_pairings(a: list[int] | tuple[int, ...]) -> NumClass:
+    """The class x with x.fi = a[i-1] for i = 1..10.
+
+    Every integer vector with 3 | sum(a) is the pairing vector of exactly
+    one class: x = (d - 3 a10) D + sum_(i<=9) (a10 - ai) fi with d = sum(a)/3.
+    """
+    d, r = divmod(sum(a), 3)
+    if len(a) != RANK or r:
+        raise ValueError("need ten pairings with a sum divisible by 3")
+    a10 = a[9]
+    return NumClass._of((d - 3 * a10,) + tuple([a10 - ai for ai in a[:9]]))
+
+
+def reduce_to_chamber(x: NumClass) -> tuple[list[int], list[int]]:
+    """Move x into the fundamental chamber of W(E10) by simple reflections.
+
+    Returns (a, word): a = (y.f1, ..., y.f10) for the reduced class y, which
+    is dominant (y.r >= 0 for every simple root r, i.e. a1 >= ... >= a10
+    and y.D >= a1 + a2 + a3), and word, the indices of the simple roots
+    reflected in, in order, so that y = s_word[-1] ... s_word[0] x and x is
+    recovered by reflecting y in reversed(word).
+
+    The loop sorts a in descending order by adjacent swaps; while
+    s = y.r0 < 0 it reflects in r0, which lowers y.D by -s, and sorts
+    again.  Reflections keep y in the positive cone, where y.D > 0, so the
+    loop stops after at most x.D reflections in r0.  Raises ValueError
+    unless x lies in that cone (x.x > 0 and x.D > 0).
+    """
+    g = gram_times(x.coords)
+    d = g[0]
+    if d <= 0 or sum(map(mul, x.coords, g)) <= 0:
+        raise ValueError("need a class of positive square with x.D > 0")
+    a = g[1:]
+    a.append(3 * d - sum(a))
+    word: list[int] = []
+    while True:
+        # insertion sort; swapping positions j-1 and j reflects in rj
+        for i in range(1, RANK):
+            v = a[i]
+            j = i
+            while j and a[j - 1] < v:
+                a[j] = a[j - 1]
+                word.append(j)
+                j -= 1
+            a[j] = v
+        s = d - a[0] - a[1] - a[2]
+        if s >= 0:
+            return a, word
+        a[0] += s
+        a[1] += s
+        a[2] += s
+        d += s
+        word.append(0)

@@ -50,7 +50,6 @@ from .decomposition import (
     DatabaseError,
     DecompositionType,
     Symbol,
-    canonical_type,
     components,
     pairing,
     parse,
@@ -600,9 +599,9 @@ class EnriquesSplit:
 
 def _eps_partner(comp: ComponentRecord) -> ComponentRecord:
     """The record of comp's slice with the same type and the other torsion lift."""
-    rows, eps = canonical_type(comp.dtype)
+    rows, eps = comp.canonical
     for rec in components(comp.g, comp.phi):
-        if canonical_type(rec.dtype) == (rows, 1 - eps):
+        if rec.canonical == (rows, 1 - eps):
             return rec
     raise DatabaseError(f"2-divisible component {comp.label} has no eps-flipped partner")
 
@@ -655,6 +654,12 @@ def fiber_dimension(comp: ComponentRecord, iv: H1Interval | None = None) -> int:
     stored total must at least fall inside it.  Any mismatch raises
     loudly.
     """
+    return _fiber_split(comp, iv).h1_H
+
+
+def _fiber_split(comp: ComponentRecord, iv: H1Interval | None) -> EnriquesSplit:
+    """fiber_dimension's checks; returns the split they verified, whose
+    h1_H is the fiber dimension."""
     if iv is None:
         iv = h1_tangent_k3(comp.dtype)
     stored = comp.h1_split[0] + comp.h1_split[1]
@@ -675,7 +680,7 @@ def fiber_dimension(comp: ComponentRecord, iv: H1Interval | None = None) -> int:
         raise ArithmeticError(f"split rule disagrees with stored split for {comp.label}")
     if split.h1_H != comp.fiber_dim_chi:
         raise ArithmeticError(f"fiber dimension drifted for {comp.label}")
-    return split.h1_H
+    return split
 
 
 def fiber_dimension_curves(comp: ComponentRecord) -> int:

@@ -13,21 +13,25 @@ effectivity and nefness are decided by lattice data alone:
   * every effective class is nef.
 
 The phi invariant of a big nef class H is min E.H over primitive isotropic
-effective E; it satisfies phi(H)^2 <= H.H, so the minimum is realized at
-pairing value at most isqrt(H.H).  The search for all isotropic classes
-with bounded pairing is an exact ellipsoid enumeration in the rank-9
-negative-definite orthogonal complement of H, done in integers.  Once per
-H, the complement basis is LLL-reduced (Lenstra-Lenstra-Lovasz 1982, in
-the integral form of Cohen, GTM 138, Alg. 2.6.7), and the leading minors
-d_k and integral Gram-Schmidt coefficients lambda_kj that the reduction
-ends with are the fraction-free factorization of the complement form.  A
-Fincke-Pohst search then scales every quantity at its nodes to a common
-denominator.
+effective E.  It is read off the W(E10) chamber (lattice.reduce_to_chamber):
+E10 has one cusp (Vinberg 1975), so the primitive isotropic effective
+classes are exactly the classes w.f10 for w in the Weyl group W, and for a
+dominant y, y.(w.f10) >= y.f10 with equality exactly on the orbit of f10
+under the stabilizer of y (Kac, Infinite-dimensional Lie algebras, ch. 3).
+phi's docstring has the proof.
+
+enumerate_isotropic finds all isotropic classes with bounded pairing by
+an exact ellipsoid enumeration in the rank-9 negative-definite orthogonal
+complement of H, done in integers.  Once per H, the complement basis is
+LLL-reduced (Lenstra-Lenstra-Lovasz 1982, in the integral form of Cohen,
+GTM 138, Alg. 2.6.7), and the leading minors d_k and integral Gram-Schmidt
+coefficients lambda_kj that the reduction ends with are the fraction-free
+factorization of the complement form.  A Fincke-Pohst search then scales
+every quantity at its nodes to a common denominator.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -38,8 +42,10 @@ from .lattice import (
     RANK,
     NumClass,
     divisibility,
+    from_pairings,
     gram_times,
     inner,
+    reduce_to_chamber,
 )
 
 
@@ -442,30 +448,84 @@ def enumerate_isotropic(h: PicClass, kmax: int) -> list[NumClass]:
     return found
 
 
-@functools.lru_cache(maxsize=1)
+def _replay(a: list[int], word) -> list[int]:
+    """Reflect the class with pairings a in the simple roots of word, in
+    order (see lattice.reduce_to_chamber); a is changed and returned."""
+    for i in word:
+        if i:
+            a[i - 1], a[i] = a[i], a[i - 1]
+        else:
+            t = sum(a) // 3 - a[0] - a[1] - a[2]
+            a[0] += t
+            a[1] += t
+            a[2] += t
+    return a
+
+
+# the pairings (f10.f1, ..., f10.f10)
+_F10 = (1,) * 9 + (0,)
+
+
 def phi(h: PicClass) -> PhiResult:
     """min E.H over primitive isotropic effective E, with a witness.
 
-    Requires H effective of positive square.  phi(H)^2 <= H.H guarantees
-    a witness with E.H <= isqrt(H.H), so the slices k = 1, 2, ... are
-    searched in turn and the first non-empty one gives the value; ties go
-    to the lexicographically smallest coordinate vector.  The witness is
-    returned with torsion bit 0 (both torsion lifts of a half-fiber class
-    are effective).
+    Requires H effective of positive square; raises ValueError otherwise.
+    The witness is the lexicographically smallest coordinate vector among
+    the minimizers, with torsion bit 0 (both torsion lifts of a half-fiber
+    class are effective).
 
-    The last class and its (immutable) result are remembered, so `enriques
-    analyze`, which asks for phi of its class in the CLI and again inside
-    component_of, searches once; a call that raises is not remembered.  One
-    entry removes only that repeat, so classes recurring across calls are
-    searched again.  The memo goes once analyze passes its phi down to
-    component_of instead of asking twice.
+    reduce_to_chamber writes H = w.y with y dominant and w a word in the
+    simple reflections, so E.H = (w^-1.E).y.  Every primitive isotropic
+    effective class is v.f10 for some v in W: the fundamental polyhedron
+    of E10 has one cusp, at f10 (Vinberg 1975), W keeps the positive cone,
+    and on an unnodal surface the effective isotropic classes are the
+    nonzero isotropic classes of its closure.  So phi(H) is the least
+    y.(v.f10) over v in W.
+
+    Both f10 and y are dominant.  A simple reflection s_i sends a class nu
+    to nu + (nu.ri) ri, so v.f10 = f10 + sum c_i ri with every c_i >= 0
+    (Kac, Infinite-dimensional Lie algebras, Lemma 3.11), and
+    y.(v.f10) >= y.f10: phi(H) = y.f10, the least pairing of y.  Equality
+    holds exactly on the orbit of f10 under the reflections in the simple
+    roots orthogonal to y, which generate the stabilizer of y (Kac,
+    Prop. 3.12).  For let nu = v.f10 != f10 attain it, with v of least
+    length, and write v = s_i v' with v' shorter.  Then nu.ri < 0 (it is
+    f10 paired with the negative root v^-1.ri, and 0 would let a shorter
+    word reach nu), so y.(s_i nu) = y.nu + (nu.ri)(y.ri) <= y.f10 forces
+    y.ri = 0 and equality for s_i nu = v'.f10, which lies in the orbit by
+    induction on the length; hence so does nu.  As y.y > 0, the roots
+    orthogonal to y span a negative definite lattice and the orbit is
+    finite: a breadth-first search finds it, and w maps it onto the
+    minimizers.
     """
-    sq = h.square
-    if sq <= 0 or not is_effective(h):
-        raise ValueError("phi needs an effective class of positive square")
-    enum = _SliceEnumerator(h.num)
-    for k in range(1, math.isqrt(sq) + 1):
-        layer = _primitive_layer(enum, k)
-        if layer:
-            return PhiResult(k, PicClass(layer[0], 0))
-    raise ArithmeticError("no isotropic class found below isqrt(H.H)")
+    try:
+        y, word = reduce_to_chamber(h.num)
+    except ValueError:
+        raise ValueError("phi needs an effective class of positive square") from None
+    # Only the component of r9 in the diagram of the roots orthogonal to y
+    # moves f10: the other roots there are orthogonal to f10 and to that
+    # component.  With y[m:] the entries equal to y[9], it holds the ri
+    # with m < i <= 9, and r0 when y.r0 = 0 and its neighbour r3 is in
+    # (m <= 2).  The orbit is walked breadth first: the list grows while
+    # it is walked.
+    m = RANK - y.count(y[9])
+    roots = list(range(m + 1, RANK))
+    if m <= 2 and sum(y) == 3 * (y[0] + y[1] + y[2]):
+        roots.append(0)
+    orbit = [_F10]
+    seen = {_F10}
+    for e in orbit:
+        for i in roots:
+            # a root orthogonal to e fixes it
+            if (e[i - 1] == e[i]) if i else (sum(e) == 3 * (e[0] + e[1] + e[2])):
+                continue
+            f = tuple(_replay(list(e), (i,)))
+            if f not in seen:
+                seen.add(f)
+                orbit.append(f)
+    back = word[::-1]
+    least = min(
+        (from_pairings(_replay(list(e), back)) for e in orbit),
+        key=lambda x: x.coords,
+    )
+    return PhiResult(y[9], PicClass(least, 0))

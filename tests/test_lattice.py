@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from enriques_invariants.lattice import (
@@ -15,8 +15,10 @@ from enriques_invariants.lattice import (
     NumClass,
     basis_gram,
     divisibility,
+    from_pairings,
     inner,
     isotropic_generator,
+    reduce_to_chamber,
     two_isotropic_generator,
 )
 
@@ -210,3 +212,61 @@ def test_inner_matches_gram_double_sum(x, y):
 @given(st.tuples(*[st.integers(min_value=-(10**12), max_value=10**12)] * 10))
 def test_num_class_str_matches_join_form(coords):
     assert str(NumClass(coords)) == "num[" + ",".join(str(c) for c in coords) + "]"
+
+
+# the simple roots r0 = D - f1 - f2 - f3 and ri = fi - f(i+1) of W(E10)
+ROOTS = [DELTA - F[1] - F[2] - F[3]] + [F[i] - F[i + 1] for i in range(1, 10)]
+
+# mostly inside the positive cone: a positive multiple of D, perturbed
+cone_side = st.tuples(
+    st.integers(min_value=1, max_value=20),
+    *[st.integers(min_value=-12, max_value=12)] * 9,
+).map(NumClass)
+
+
+@given(cone_side)
+@example(NumClass((1,) + (0,) * 9))
+@example(F[1] + F[2])
+@example(NumClass((20,) + (-12,) * 9))
+def test_reduce_to_chamber_descends_to_a_dominant_class(x):
+    assume(inner(x, x) > 0 and inner(x, DELTA) > 0)
+    a, word = reduce_to_chamber(x)
+    y = from_pairings(a)
+    assert a == [inner(y, F[i]) for i in range(1, 11)]
+    assert all(inner(y, r) >= 0 for r in ROOTS)
+    # every reflection of the word is a descent, x.r < 0, and each one in
+    # r0 lowers x.D
+    v = x
+    for i in word:
+        t = inner(v, ROOTS[i])
+        assert t < 0
+        w = v + t * ROOTS[i]
+        if i == 0:
+            assert inner(w, DELTA) < inner(v, DELTA)
+        v = w
+    assert v == y
+    for i in reversed(word):
+        v = v + inner(v, ROOTS[i]) * ROOTS[i]
+    assert v == x
+
+
+@pytest.mark.parametrize(
+    "x", [NumClass((0,) * 10), F[1], 3 * F[1], F[1] - F[2], -(F[1] + F[2]), -DELTA]
+)
+def test_reduce_to_chamber_rejects_classes_outside_the_positive_cone(x):
+    # outside the cone the loop need not stop: f1 - f2 reflects forever
+    with pytest.raises(ValueError):
+        reduce_to_chamber(x)
+
+
+@given(classes)
+def test_from_pairings_inverts_the_pairings(x):
+    a = [inner(x, F[i]) for i in range(1, 11)]
+    assert from_pairings(a) == x
+    assert from_pairings(tuple(a)) == x
+
+
+@pytest.mark.parametrize("a", [[1] * 10, [0] * 9, [0] * 11])
+def test_from_pairings_rejects_vectors_of_no_class(a):
+    with pytest.raises(ValueError):
+        from_pairings(a)

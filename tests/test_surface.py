@@ -23,6 +23,7 @@ from enriques_invariants.surface import (
     CANONICAL,
     PhiResult,
     PicClass,
+    _primitive_layer,
     _reduce_basis,
     _SliceEnumerator,
     _solve_linear_form,
@@ -47,6 +48,15 @@ pic_classes = st.builds(
 fiber_combos = st.lists(
     st.integers(min_value=1, max_value=10), min_size=1, max_size=4
 ).map(lambda ix: sum((F[i] for i in ix[1:]), F[ix[0]]))
+
+
+# positive combinations of at least two distinct generators: effective, of
+# positive square
+effective_h = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=10), st.integers(min_value=1, max_value=5)),
+    min_size=2,
+    max_size=5,
+).map(lambda terms: sum((c * F[i] for i, c in terms), ZERO))
 
 
 def test_canonical_class():
@@ -120,14 +130,54 @@ def test_phi_of_fundamental_class():
     assert phi(PicClass(DELTA, 0)).value == 3
 
 
-def test_phi_remembers_one_class():
-    assert phi.cache_info().maxsize == 1
+def _phi_by_enumeration(h):
+    """The first non-empty slice H.x = k of the enumerator, and its least
+    class by coordinates: phi(H)^2 <= H.H bounds k by isqrt(H.H)."""
+    enum = _SliceEnumerator(h.num)
+    for k in range(1, math.isqrt(h.square) + 1):
+        layer = _primitive_layer(enum, k)
+        if layer:
+            return PhiResult(k, PicClass(layer[0], 0))
+    raise AssertionError("no isotropic class below isqrt(H.H)")
 
 
-def test_phi_memo_answers_as_a_fresh_search():
+def test_phi_answers_as_the_enumerator_on_repeats():
     h = PicClass(F[1] + F[2] + E12, 0)
     for c in (h, h + CANONICAL, h):
-        assert phi(c) == phi.__wrapped__(c)
+        assert phi(c) == _phi_by_enumeration(c)
+
+
+# the simple roots r0 = D - f1 - f2 - f3 and ri = fi - f(i+1) of W(E10)
+ROOTS = [DELTA - F[1] - F[2] - F[3]] + [F[i] - F[i + 1] for i in range(1, 10)]
+
+
+def _reflect(x, r):
+    return x + inner(x, r) * r
+
+
+@given(
+    effective_h,
+    st.lists(st.integers(min_value=0, max_value=9), min_size=5, max_size=60),
+    st.lists(st.tuples(*[st.integers(min_value=1, max_value=10)] * 2), max_size=12),
+    st.integers(min_value=0, max_value=1),
+)
+@example(4 * F[1] + F[2] + F[3], [9, 0, 8, 0, 7, 0], [(1, 10)], 1)
+# reduces to pairings (3, 2, ..., 2), where r0 is orthogonal to the reduced
+# class and moves the least witness
+@example(DELTA - F[1], [0, 9, 3, 0, 5], [(2, 7)], 0)
+@settings(max_examples=60, deadline=None)
+def test_phi_is_the_enumerator_witness_on_reflected_classes(num, word, swaps, eps):
+    # W(E10) keeps the effective isotropic classes, and with them phi; a
+    # product of transpositions fi <-> fj is an S10 relabelling.  The
+    # witness is the enumerator's least class of the first non-empty slice
+    assume(num.square > 0)
+    for i in word:
+        num = _reflect(num, ROOTS[i])
+    for i, j in swaps:
+        if i != j:
+            num = _reflect(num, F[i] - F[j])
+    h = PicClass(num, eps)
+    assert phi(h) == _phi_by_enumeration(h)
 
 
 def test_phi_raises_on_every_call_for_an_invalid_class():
@@ -261,15 +311,6 @@ def test_hodge_index_on_effective_pairs(a_num, b_num):
         assert a.num.square == 0 and b.num.square == 0
         da, db = divisibility(a.num), divisibility(b.num)
         assert db * a.num == da * b.num
-
-
-# positive combinations of at least two distinct generators: effective, of
-# positive square
-effective_h = st.lists(
-    st.tuples(st.integers(min_value=1, max_value=10), st.integers(min_value=1, max_value=5)),
-    min_size=2,
-    max_size=5,
-).map(lambda terms: sum((c * F[i] for i, c in terms), ZERO))
 
 
 def _kernel(num):
