@@ -21,6 +21,7 @@ and reused: parse_args returns a fresh namespace on every call.
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
 import json
 import sys
@@ -278,10 +279,21 @@ def _cmd_enumerate(ns) -> tuple[Report, int, list[str]]:
         raise InputError(f"--kmax must be >= 1, got {ns.kmax}")
     h = _parse_class_or_type(ns.expression)
     found = enumerate_isotropic(h, ns.kmax)
-    # x.H is the dot product of x with G H, which is computed once
+    # found is sorted by pairing, so x.H (the dot product of x with G H) is
+    # read at each slice's first class and its end is found by bisection
     gh = gram_times(h.num.coords)
+
+    def pairing(x: NumClass) -> int:
+        return sum(map(mul, x.coords, gh))
+
     row = _JSON_ROW if ns.json else _TEXT_ROW
-    rows = [row % (sum(map(mul, x.coords, gh)), *x.coords) for x in found]
+    rows: list[str] = []
+    lo = 0
+    while lo < len(found):
+        k = pairing(found[lo])
+        hi = bisect.bisect_right(found, k, lo, key=pairing)
+        rows += [row % (k, *x.coords) for x in found[lo:hi]]
+        lo = hi
     payload = {
         "class": str(h),
         "kmax": ns.kmax,

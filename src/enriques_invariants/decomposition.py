@@ -320,9 +320,12 @@ def _records() -> tuple[ComponentRecord, ...]:
     return tuple(recs)
 
 
+_E1, _E2, _E3, _E12 = Symbol((1,)), Symbol((2,)), Symbol((3,)), Symbol((1, 2))
+
+
 def _phi1_record(g: int) -> ComponentRecord:
     fiber = max(0, 10 - g)
-    dtype = parse(f"{g - 1}E1+E2")
+    dtype = DecompositionType(((g - 1, _E1), (1, _E2)))
     return ComponentRecord(
         f"E_{{{g},1}}", g, 1, dtype, fiber, (fiber, fiber), None
     )
@@ -335,18 +338,19 @@ def _phi2_records(g: int) -> list[ComponentRecord]:
     the latter split into two torsion lifts when k is even.
     """
     if g % 2 == 0:
-        types = [("", f"{(g - 2) // 2}E1+E2+E3")]
+        types = [("", DecompositionType((((g - 2) // 2, _E1), (1, _E2), (1, _E3))))]
     else:
         k = (g - 1) // 2
-        types = [("^{(I)}", f"{k}E1+E{{1,2}}")]
+        two = ((k, _E1), (2, _E2))
+        types = [("^{(I)}", DecompositionType(((k, _E1), (1, _E12))))]
         if k % 2 == 1:
-            types.append(("^{(II)}", f"{k}E1+2E2"))
+            types.append(("^{(II)}", DecompositionType(two)))
         else:
-            types.append(("^{(II)+}", f"{k}E1+2E2"))
-            types.append(("^{(II)-}", f"{k}E1+2E2+K"))
+            types.append(("^{(II)+}", DecompositionType(two)))
+            types.append(("^{(II)-}", DecompositionType(two, 1)))
     return [
-        ComponentRecord(f"E_{{{g},2}}{suffix}", g, 2, parse(text), 0, (0, 0), None)
-        for suffix, text in types
+        ComponentRecord(f"E_{{{g},2}}{suffix}", g, 2, dtype, 0, (0, 0), None)
+        for suffix, dtype in types
     ]
 
 

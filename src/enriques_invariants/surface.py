@@ -27,12 +27,17 @@ LLL-reduced (Lenstra-Lenstra-Lovasz 1982, in the integral form of Cohen,
 GTM 138, Alg. 2.6.7), and the leading minors d_k and integral Gram-Schmidt
 coefficients lambda_kj that the reduction ends with are the fraction-free
 factorization of the complement form.  A Fincke-Pohst search then scales
-every quantity at its nodes to a common denominator.
+every quantity at its nodes to a common denominator.  It carries each
+point as one packed integer, the ten coordinates in lanes of a fixed
+width: a lane bound proved from H alone (|x_j| <= 16 kmax (H.D)/(H.H))
+makes packed solutions sort as their coordinate vectors and decode
+exactly; _SliceEnumerator has the proof.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from operator import mul
 
@@ -309,13 +314,39 @@ class _SliceEnumerator:
     t_i updates the partial sums of all lower a_k at once (Schnorr-Euchner),
     and the last coordinate is solved for: only t_0 with
     w_0 (L^2 t_0 - a_0)^2 equal to the remainder can close a solution.
+
+    Points are carried packed: a coordinate vector x is the one integer
+    pack(x) = sum_j x_j 2^(lane (9 - j)).  pack is linear, so x0 and the
+    basis vectors are packed once, here, and fixing t_i adds t_i pack(b_i)
+    to the partial point: one big-int multiply-add instead of ten.  The
+    partial sums are exact integers, so carries between lanes lose
+    nothing; only reading a solution back needs every |x_j| < 2^(lane-1).
+    Then pack(x) + B, with B = 2^(lane-1) in every lane, has the base
+    2^lane digits x_j + 2^(lane-1), so packed solutions sort as their
+    coordinate vectors do, lexicographically, and decode() reads the
+    digits back.
+
+    The lane bound holds on every slice 1 <= k <= kmax: each solution x
+    has |x_j| <= 16 kmax (H.D)/(H.H).  For H.D > 0 (else replace H and x
+    by -H and -x): H lies in the positive cone C+ of D, and x is isotropic
+    with x.H > 0, so x lies in the closure of C+ (see _primitive_layer),
+    as do f1..f10; two classes of that closure pair >= 0, so every
+    a_i = x.fi >= 0, and with d = x.D = (a_1 + ... + a_10)/3 each
+    a_i <= 3d.  By lattice.from_pairings x = (d - 3 a_10) D +
+    sum_(i<=9) (a_10 - a_i) fi, so |x_j| <= 8d.  Write D = alpha H + v and
+    x = beta H + u with u, v in H-perp, alpha = H.D/H.H and beta = k/H.H.
+    x.x = 0 gives u.u = -k^2/H.H and D.D > 0 gives v.v > -alpha^2 H.H;
+    H-perp is negative definite, so Cauchy-Schwarz there (reverse
+    Cauchy-Schwarz in signature (1, 9)) gives |u.v| < alpha k, and
+    d = alpha k + u.v < 2k (H.D)/(H.H).  Lanes are 64 bits when the bound
+    allows it, which decode() reads with one struct call, and wider
+    otherwise.
     """
 
-    def __init__(self, h: NumClass):
+    def __init__(self, h: NumClass, kmax: int):
         w = tuple(gram_times(h.coords))
         self.g, self.x0g, kernel = _solve_linear_form(w)
         basis, minor, lam = _reduce_basis(kernel)
-        self.basis = basis
         n = RANK - 1
         gx = gram_times(self.x0g)
         # eliminate c = B^T G x0 like a column appended to N: row i ends as
@@ -356,9 +387,20 @@ class _SliceEnumerator:
         self.cols = [
             [big_l * lam[i][k] // minor[k + 1] for k in range(i)] for i in range(n)
         ]
+        # the lane width: |x_j| <= bound < 2^(lane-1) on slices k <= kmax
+        bound = 16 * kmax * abs(w[0]) // sum(map(mul, h.coords, w))
+        self.lane = lane = 64 if bound < 1 << 63 else bound.bit_length() + 1
+        self.shifts = shifts = [lane * (RANK - 1 - j) for j in range(RANK)]
+        self.bias = sum(1 << (lane - 1 + s) for s in shifts)
+        self.packed_x0 = _pack(self.x0g, shifts)
+        self.packed_basis = [_pack(b, shifts) for b in basis]
 
-    def solutions(self, k: int) -> list[NumClass]:
-        """All x with H.x = k and x.x = 0 (no further filtering)."""
+    def solutions(self, k: int) -> list[int]:
+        """All x with H.x = k and x.x = 0 (no further filtering), packed.
+
+        Valid for k <= kmax; decode() turns them into coordinate tuples,
+        and sorting them sorts those tuples.
+        """
         if k % self.g:
             return []
         q = k // self.g
@@ -368,14 +410,14 @@ class _SliceEnumerator:
         big_l = self.big_l
         l2 = big_l * big_l
         cm = [q * x for x in self.center]  # M on this slice
-        w, cols, basis = self.w, self.cols, self.basis
+        w, cols, basis = self.w, self.cols, self.packed_basis
         w0 = w[0]
         b0, b1 = basis[0], basis[1]
-        out: list[NumClass] = []
+        out: list[int] = []
 
-        def visit(i: int, rem: int, acc: list[int], pos: list[int]) -> None:
+        def visit(i: int, rem: int, acc: list[int], pos: int) -> None:
             # acc[k] = L M_k - sum_{j>i} U_kj S_j for k <= i, so a_i = acc[i];
-            # pos = x0 + sum_{j>i} t_j b_j
+            # pos = pack(x0 + sum_{j>i} t_j b_j)
             a = acc[i]
             wi = w[i]
             half = math.isqrt(rem // wi)  # exact: |L^2 t_i - a_i| <= half
@@ -391,7 +433,7 @@ class _SliceEnumerator:
                         i - 1,
                         r,
                         [p - c * sj for p, c in zip(acc, col)],
-                        [p + ti * b for p, b in zip(pos, bi)] if ti else pos,
+                        pos + ti * bi,
                     )
                     continue
                 # w_0 (L^2 t_0 - a_0)^2 = r leaves at most two candidates
@@ -401,14 +443,34 @@ class _SliceEnumerator:
                 if root * root * w0 != r:
                     continue
                 a0 = acc[0] - col[0] * sj
+                p1 = pos + ti * b1
                 for l2t0 in {a0 + root, a0 - root}:
                     if l2t0 % l2 == 0:
-                        t0 = l2t0 // l2
-                        xs = [p + ti * c + t0 * b for p, c, b in zip(pos, b1, b0)]
-                        out.append(NumClass._of(tuple(xs)))
+                        out.append(p1 + l2t0 // l2 * b0)
 
-        visit(RANK - 2, rad, [big_l * x for x in cm], [q * x for x in self.x0g])
+        visit(RANK - 2, rad, [big_l * x for x in cm], q * self.packed_x0)
         return out
+
+    def decode(self, packed: list[int]) -> list[tuple[int, ...]]:
+        """The coordinate tuples of packed solutions, in the same order."""
+        bias = self.bias
+        if self.lane == 64:
+            # (x + B) ^ B holds each x_j as a two's-complement 64-bit word
+            unpack, size = _WORDS.unpack, _WORDS.size
+            return [unpack(((x + bias) ^ bias).to_bytes(size, "big")) for x in packed]
+        mask = (1 << self.lane) - 1
+        half = 1 << (self.lane - 1)
+        shifts = self.shifts
+        return [
+            tuple([(((x + bias) >> s) & mask) - half for s in shifts]) for x in packed
+        ]
+
+
+_WORDS = struct.Struct(">%dq" % RANK)
+
+
+def _pack(v: list[int], shifts: list[int]) -> int:
+    return sum(c << s for c, s in zip(v, shifts))
 
 
 def _primitive_layer(enum: _SliceEnumerator, k: int) -> list[NumClass]:
@@ -419,10 +481,13 @@ def _primitive_layer(enum: _SliceEnumerator, k: int) -> list[NumClass]:
     that contains D.  A nonzero isotropic x pairs nonzero with every
     y in C+ (y-perp is negative definite), so by connectedness x.y has
     one sign on all of C+; x.H = k > 0 makes it positive, and x.D > 0.
+    The packed solutions are sorted before they are decoded (see
+    _SliceEnumerator), and each is decoded once.
     """
-    layer = [x for x in enum.solutions(k) if divisibility(x) == 1]
-    layer.sort(key=lambda x: x.coords)
-    return layer
+    layer = enum.solutions(k)
+    layer.sort()
+    gcd = math.gcd
+    return [NumClass._of(x) for x in enum.decode(layer) if gcd(*x) == 1]
 
 
 def enumerate_isotropic(h: PicClass, kmax: int) -> list[NumClass]:
@@ -441,7 +506,7 @@ def enumerate_isotropic(h: PicClass, kmax: int) -> list[NumClass]:
         raise ValueError("need an effective class")
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    enum = _SliceEnumerator(h.num)
+    enum = _SliceEnumerator(h.num, kmax)
     found: list[NumClass] = []
     for k in range(1, kmax + 1):
         found.extend(_primitive_layer(enum, k))

@@ -219,6 +219,25 @@ def test_components_phi1_always_single():
         assert got[0].dtype == parse(f"{g - 1}E1+E2" if g > 2 else "E1+E2")
 
 
+def test_components_phi2_family_spells_its_types():
+    # the g >= 10 family records are built from terms, not parsed; they must
+    # be the types the family rule names
+    for g in range(10, 40):
+        k = (g - 1) // 2
+        if g % 2 == 0:
+            want = [("", f"{(g - 2) // 2}E1+E2+E3")]
+        elif k % 2 == 1:
+            want = [("^{(I)}", f"{k}E1+E{{1,2}}"), ("^{(II)}", f"{k}E1+2E2")]
+        else:
+            want = [
+                ("^{(I)}", f"{k}E1+E{{1,2}}"),
+                ("^{(II)+}", f"{k}E1+2E2"),
+                ("^{(II)-}", f"{k}E1+2E2+K"),
+            ]
+        got = [(r.label, r.dtype) for r in components(g, 2)]
+        assert got == [(f"E_{{{g},2}}{s}", parse(t)) for s, t in want]
+
+
 def test_components_phi2_count_rule():
     # 1 for g=3 and even g; 2 when (g-1)/2 is odd; 3 when (g-1)/2 is even
     for g in range(3, 26):

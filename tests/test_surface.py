@@ -14,9 +14,11 @@ from enriques_invariants.lattice import (
     RANK,
     NumClass,
     divisibility,
+    from_pairings,
     gram_times,
     inner,
     isotropic_generator,
+    reduce_to_chamber,
     two_isotropic_generator,
 )
 from enriques_invariants.surface import (
@@ -25,6 +27,7 @@ from enriques_invariants.surface import (
     PicClass,
     _primitive_layer,
     _reduce_basis,
+    _replay,
     _SliceEnumerator,
     _solve_linear_form,
     enumerate_isotropic,
@@ -133,8 +136,9 @@ def test_phi_of_fundamental_class():
 def _phi_by_enumeration(h):
     """The first non-empty slice H.x = k of the enumerator, and its least
     class by coordinates: phi(H)^2 <= H.H bounds k by isqrt(H.H)."""
-    enum = _SliceEnumerator(h.num)
-    for k in range(1, math.isqrt(h.square) + 1):
+    kmax = math.isqrt(h.square)
+    enum = _SliceEnumerator(h.num, kmax)
+    for k in range(1, kmax + 1):
         layer = _primitive_layer(enum, k)
         if layer:
             return PhiResult(k, PicClass(layer[0], 0))
@@ -225,9 +229,11 @@ def test_enumerate_output_contract(num, kmax):
 def test_slice_solutions_are_effective(num, k):
     # _primitive_layer tests no x.D: an isotropic class pairing positively
     # with H in the positive cone pairs positively with D
+    # solutions come packed; each raw solution, primitive or not, is decoded
     assume(num.square > 0)
-    for x in _SliceEnumerator(num).solutions(k):
-        assert inner(x, DELTA) > 0
+    enum = _SliceEnumerator(num, k)
+    for x in enum.decode(enum.solutions(k)):
+        assert inner(NumClass(x), DELTA) > 0
 
 
 # counts measured with the earlier Fraction-based enumerator
@@ -258,6 +264,140 @@ def test_enumerate_commutes_with_permuting_f1_to_f9(num, perm, kmax):
     want = enumerate_isotropic(PicClass(num, 0), kmax)
     assert len(got) == len(want)
     assert set(got) == {_permute(v, perm) for v in want}
+
+
+# ---------------------------------------------------------------------------
+# an independent oracle: the W(E10)-orbit of f10
+
+
+def _pairings(x):
+    g = gram_times(x.coords)
+    return g[1:] + [3 * g[0] - sum(g[1:])]
+
+
+def _root_pairing(b, i):
+    # nu.ri for the class nu with pairings b
+    return b[i - 1] - b[i] if i else sum(b) // 3 - b[0] - b[1] - b[2]
+
+
+def _orbit_enumeration(h, kmax):
+    """enumerate_isotropic by a walk over the orbit of f10.
+
+    Every primitive isotropic effective class is w.f10 (E10 has one cusp),
+    and with y the chamber reduction of H, nu.H is the pairing of y with
+    the class nu reflected into y's frame.  From f10 the walk takes the
+    ascents s_i nu (nu.ri > 0) and keeps one only when i is its least
+    descent, so each class is reached once; y.(s_i nu) = y.nu +
+    (nu.ri)(y.ri) >= y.nu for dominant y, so it stops at y.nu > kmax.
+    """
+    y, word = reduce_to_chamber(h)
+    yc, back = from_pairings(y), word[::-1]
+    stack = [[1] * 9 + [0]] if y[9] <= kmax else []
+    found = []
+    while stack:
+        b = stack.pop()
+        found.append(from_pairings(_replay(list(b), back)))
+        for i in range(RANK):
+            if _root_pairing(b, i) <= 0:
+                continue
+            m = _replay(list(b), (i,))
+            if all(_root_pairing(m, j) >= 0 for j in range(i)):
+                if inner(from_pairings(m), yc) <= kmax:
+                    stack.append(m)
+    return sorted(found, key=lambda x: (inner(x, h), x.coords))
+
+
+@given(
+    fiber_combos,
+    st.lists(st.integers(min_value=0, max_value=9), max_size=40),
+    st.integers(min_value=1, max_value=3),
+)
+@example(F[1] + F[2], [], 3)
+@example(DELTA - F[1], [0, 9, 3, 0, 5], 2)
+@settings(max_examples=40, deadline=None)
+def test_enumerate_matches_the_orbit_of_f10(num, word, kmax):
+    # word scrambles the class by simple reflections: the same classes,
+    # reflected, in a different complement basis
+    assume(num.square > 0)
+    for i in word:
+        num = _reflect(num, ROOTS[i])
+    assert enumerate_isotropic(PicClass(num, 0), kmax) == _orbit_enumeration(num, kmax)
+
+
+# ---------------------------------------------------------------------------
+# classes far from the chamber: coordinates past 2^64 need wide lanes
+
+FAR_OUT = NumClass(
+    (
+        14333316412284353104,
+        -25102405125908652634,
+        -33668750099475326712,
+        -36592066245401592537,
+        43440239800288088001,
+        31181791926813427939,
+        26998523718131467977,
+        25570958573963760999,
+        8029107909487269417,
+        2042847090534926748,
+    )
+)
+
+
+def _climb(num, word):
+    """Reflect num in the simple roots of word, then sort its pairings in
+    ascending order and reflect in r0 until a coordinate passes 2^65.
+
+    Each r0 step raises x.D: the three least pairings sum to less than x.D.
+    Returns the class and the whole word.
+    """
+    a = _replay(_pairings(num), word)
+    word = list(word)
+    while max(map(abs, from_pairings(a).coords)) < 1 << 65:
+        for i in range(1, RANK):
+            for j in range(i, 0, -1):
+                if a[j - 1] <= a[j]:
+                    break
+                a[j - 1], a[j] = a[j], a[j - 1]
+                word.append(j)
+        word.append(0)
+        _replay(a, (0,))
+    return from_pairings(a), word
+
+
+def _assert_enumerates_as_image(num, word, kmax, count=None):
+    # the isometry s_word[-1] ... s_word[0] as a matrix on coordinates
+    cols = [
+        from_pairings(_replay(_pairings(NumClass(e)), word)).coords
+        for e in ((0,) * j + (1,) + (0,) * (RANK - 1 - j) for j in range(RANK))
+    ]
+
+    def image(x):
+        return NumClass(tuple(sum(map(mul, x.coords, row)) for row in zip(*cols)))
+
+    h = image(num)
+    base = enumerate_isotropic(PicClass(num, 0), kmax)
+    want = sorted(map(image, base), key=lambda x: (inner(x, h), x.coords))
+    got = enumerate_isotropic(PicClass(h, 0), kmax)
+    assert got == want
+    if count is not None:
+        assert len(got) == count
+    return h, got
+
+
+@pytest.mark.parametrize("kmax, count", [(2, 242), (3, 4562)])
+def test_far_out_class_enumerates_as_the_image_of_f1_plus_f2(kmax, count):
+    h, word = _climb(F[1] + F[2], [])
+    assert h == FAR_OUT
+    _, got = _assert_enumerates_as_image(F[1] + F[2], word, kmax, count)
+    assert max(abs(c) for x in got for c in x.coords).bit_length() > 64
+
+
+@given(fiber_combos, st.lists(st.integers(min_value=0, max_value=9), max_size=30))
+@settings(max_examples=15, deadline=None)
+def test_wide_lane_enumeration_commutes_with_reflections(num, word):
+    assume(num.square > 0)
+    h, word = _climb(num, word)
+    _assert_enumerates_as_image(num, word, 2)
 
 
 @given(fiber_combos)
@@ -407,7 +547,7 @@ def test_reduction_rejects_forms_that_are_not_negative_definite(num):
     with pytest.raises(ArithmeticError, match="not negative definite"):
         _reduce_basis(_kernel(num))
     with pytest.raises(ArithmeticError, match="not negative definite"):
-        _SliceEnumerator(num)
+        _SliceEnumerator(num, 1)
 
 
 @given(
