@@ -65,7 +65,7 @@ def gram_times(v: list[int] | tuple[int, ...]) -> list[int]:
     return [10 * v0 + 3 * s] + [t - vi for vi in v[1:]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumClass:
     """Numerical divisor class: integer coordinates in the fixed basis.
 
@@ -73,6 +73,12 @@ class NumClass:
     coordinates and TypeError unless all are integers.  NumClass._of skips
     those checks and is only for coordinates known to be a tuple of ten
     integers, such as the results of arithmetic on valid classes.
+
+    The class has slots and no instance __dict__: an enumeration builds
+    one NumClass per class it finds, and a slotted instance is about a
+    third of the size of one with a dict, and quicker to make.  Being
+    frozen, it refuses assignment, so _of writes the coords slot directly
+    through the slot's descriptor.
     """
 
     coords: tuple[int, ...]
@@ -87,7 +93,7 @@ class NumClass:
     def _of(cls, coords: tuple[int, ...]) -> "NumClass":
         """Unchecked constructor: coords must already be ten integers."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "coords", coords)
+        _set_coords(obj, coords)
         return obj
 
     @staticmethod
@@ -120,6 +126,10 @@ class NumClass:
     def __str__(self) -> str:
         return _NUM_FORMAT % self.coords
 
+
+# the coords slot's own setter, which a frozen class's __setattr__ does not
+# guard
+_set_coords = NumClass.coords.__set__
 
 # one %d slot per coordinate; the coordinates are ints, so %d prints them
 # exactly as str() does

@@ -27,11 +27,13 @@ LLL-reduced (Lenstra-Lenstra-Lovasz 1982, in the integral form of Cohen,
 GTM 138, Alg. 2.6.7), and the leading minors d_k and integral Gram-Schmidt
 coefficients lambda_kj that the reduction ends with are the fraction-free
 factorization of the complement form.  A Fincke-Pohst search then scales
-every quantity at its nodes to a common denominator.  It carries each
-point as one packed integer, the ten coordinates in lanes of a fixed
-width: a lane bound proved from H alone (|x_j| <= 16 kmax (H.D)/(H.H))
-makes packed solutions sort as their coordinate vectors and decode
-exactly; _SliceEnumerator has the proof.
+every quantity at its nodes to a common denominator.  It recurses over
+the six outer coordinates and runs the last three as one loop nest, where
+almost all of its nodes are.  It carries each point as one packed
+integer, the ten coordinates in lanes of a fixed width: a lane bound
+proved from H alone (|x_j| <= 16 kmax (H.D)/(H.H)) makes packed solutions
+sort as their coordinate vectors and decode exactly; _SliceEnumerator has
+the proof.
 """
 
 from __future__ import annotations
@@ -307,13 +309,21 @@ class _SliceEnumerator:
     With L a common denominator of u and m, and DD one of d, the integers
     U = L u, M = L m, w = DD d and R = L^4 DD radius turn the equation
     into sum_i w_i (L^2 t_i - a_i)^2 = R with a_i = L M_i - sum_{j>i} U_ij S_j
-    and S_j = L t_j - M_j.  The Fincke-Pohst recursion over t_8, ..., t_0
-    is then pure integer arithmetic: w_i (L^2 t_i - a_i)^2 <= rem holds
+    and S_j = L t_j - M_j.  The Fincke-Pohst search over t_8, ..., t_0 is
+    then pure integer arithmetic: w_i (L^2 t_i - a_i)^2 <= rem holds
     exactly when |L^2 t_i - a_i| <= isqrt(rem // w_i), so every window is
-    exact and a leaf is a solution precisely when nothing remains.  Fixing
-    t_i updates the partial sums of all lower a_k at once (Schnorr-Euchner),
-    and the last coordinate is solved for: only t_0 with
-    w_0 (L^2 t_0 - a_0)^2 equal to the remainder can close a solution.
+    exact and a leaf is a solution precisely when nothing remains.  On
+    levels 8..3 it recurses, and fixing t_i updates the partial sums of
+    all lower a_k at once, as a new list (Schnorr-Euchner).  Levels 2, 1
+    and 0 are one loop nest inside the level-3 loop, with a_2, a_1, a_0
+    and the partial point carried as scalars: the tree is widest there
+    (on enumerate workloads it has fewer level-1 nodes than solutions), so
+    a Python call and a list per node would cost more than the arithmetic.
+    The last coordinate is solved for: only t_0 with w_0 (L^2 t_0 - a_0)^2
+    equal to the remainder r can close a solution, so L^2 t_0 is
+    a_0 + root or a_0 - root with root = isqrt(r / w_0).  When root = 0
+    the two are one candidate, and it is appended once, so no solution is
+    listed twice.
 
     Points are carried packed: a coordinate vector x is the one integer
     pack(x) = sum_j x_j 2^(lane (9 - j)).  pack is linear, so x0 and the
@@ -399,7 +409,7 @@ class _SliceEnumerator:
         """All x with H.x = k and x.x = 0 (no further filtering), packed.
 
         Valid for k <= kmax; decode() turns them into coordinate tuples,
-        and sorting them sorts those tuples.
+        and sorting them sorts those tuples.  Each solution appears once.
         """
         if k % self.g:
             return []
@@ -411,42 +421,71 @@ class _SliceEnumerator:
         l2 = big_l * big_l
         cm = [q * x for x in self.center]  # M on this slice
         w, cols, basis = self.w, self.cols, self.packed_basis
-        w0 = w[0]
-        b0, b1 = basis[0], basis[1]
+        # what the loop nest of levels 2, 1 and 0 reads, bound once
+        w0, w1, w2 = w[0], w[1], w[2]
+        c10 = cols[1][0]
+        c20, c21 = cols[2]
+        m1, m2 = cm[1], cm[2]
+        b0, b1, b2 = basis[0], basis[1], basis[2]
+        isqrt = math.isqrt
         out: list[int] = []
+        append = out.append
 
         def visit(i: int, rem: int, acc: list[int], pos: int) -> None:
             # acc[k] = L M_k - sum_{j>i} U_kj S_j for k <= i, so a_i = acc[i];
             # pos = pack(x0 + sum_{j>i} t_j b_j)
             a = acc[i]
             wi = w[i]
-            half = math.isqrt(rem // wi)  # exact: |L^2 t_i - a_i| <= half
+            half = isqrt(rem // wi)  # exact: |L^2 t_i - a_i| <= half
             col = cols[i]
             mi = cm[i]
             bi = basis[i]
             for ti in range(-((half - a) // l2), (a + half) // l2 + 1):
                 e = l2 * ti - a
-                r = rem - wi * e * e
+                ri = rem - wi * e * e
                 sj = big_l * ti - mi
-                if i > 1:
+                if i > 3:
                     visit(
                         i - 1,
-                        r,
+                        ri,
                         [p - c * sj for p, c in zip(acc, col)],
                         pos + ti * bi,
                     )
                     continue
-                # w_0 (L^2 t_0 - a_0)^2 = r leaves at most two candidates
-                if r % w0:
-                    continue
-                root = math.isqrt(r // w0)
-                if root * root * w0 != r:
-                    continue
-                a0 = acc[0] - col[0] * sj
-                p1 = pos + ti * b1
-                for l2t0 in {a0 + root, a0 - root}:
-                    if l2t0 % l2 == 0:
-                        out.append(p1 + l2t0 // l2 * b0)
+                # levels 2, 1 and 0 as one loop nest over scalars
+                p3 = pos + ti * bi
+                a2 = acc[2] - col[2] * sj
+                a1_3 = acc[1] - col[1] * sj
+                a0_3 = acc[0] - col[0] * sj
+                h2 = isqrt(ri // w2)
+                for t2 in range(-((h2 - a2) // l2), (a2 + h2) // l2 + 1):
+                    e = l2 * t2 - a2
+                    r2 = ri - w2 * e * e
+                    s2 = big_l * t2 - m2
+                    a1 = a1_3 - c21 * s2
+                    a0_2 = a0_3 - c20 * s2
+                    p2 = p3 + t2 * b2
+                    h1 = isqrt(r2 // w1)
+                    for t1 in range(-((h1 - a1) // l2), (a1 + h1) // l2 + 1):
+                        e = l2 * t1 - a1
+                        r = r2 - w1 * e * e
+                        # w_0 (L^2 t_0 - a_0)^2 = r leaves at most two candidates
+                        if r % w0:
+                            continue
+                        root = isqrt(r // w0)
+                        if root * root * w0 != r:
+                            continue
+                        a0 = a0_2 - c10 * (big_l * t1 - m1)
+                        p1 = p2 + t1 * b1
+                        l2t0 = a0 + root
+                        if l2t0 % l2 == 0:
+                            append(p1 + l2t0 // l2 * b0)
+                        # root = 0 gives a single candidate, which must not
+                        # be counted twice
+                        if root:
+                            l2t0 = a0 - root
+                            if l2t0 % l2 == 0:
+                                append(p1 + l2t0 // l2 * b0)
 
         visit(RANK - 2, rad, [big_l * x for x in cm], q * self.packed_x0)
         return out

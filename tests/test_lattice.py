@@ -1,11 +1,14 @@
 """Tests for the rank-10 even unimodular lattice of signature (1,9)."""
 
+import copy
+import dataclasses
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from enriques_invariants.lattice import (
@@ -212,6 +215,39 @@ def test_inner_matches_gram_double_sum(x, y):
 @given(st.tuples(*[st.integers(min_value=-(10**12), max_value=10**12)] * 10))
 def test_num_class_str_matches_join_form(coords):
     assert str(NumClass(coords)) == "num[" + ",".join(str(c) for c in coords) + "]"
+
+
+def test_num_class_has_slots_and_no_dict():
+    x = NumClass((1,) + (0,) * 9)
+    assert not hasattr(x, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.coords = (0,) * 10
+    assert x.coords == (1,) + (0,) * 9
+
+
+# 25 lists of 40: 1,000 classes, with repeats from the small coordinates;
+# every other key comes from NumClass._of, and looking each tuple up as a
+# validated NumClass needs _of(t) == NumClass(t) with equal hashes
+@settings(max_examples=25)
+@given(st.lists(st.tuples(*[st.integers(-1, 1)] * 10), min_size=40, max_size=40))
+def test_num_class_keys_a_dict_as_its_coordinates_do(coords):
+    by_class, by_coords = {}, {}
+    for i, c in enumerate(coords):
+        by_class[NumClass._of(c) if i % 2 else NumClass(c)] = i
+        by_coords[c] = i
+    assert {x.coords: i for x, i in by_class.items()} == by_coords
+    assert all(by_class[NumClass(c)] == i for c, i in by_coords.items())
+
+
+@pytest.mark.skipif(
+    not hasattr(NumClass, "__getstate__"),
+    reason="dataclasses of this CPython 3.10 cannot copy or unpickle a frozen "
+    "class with slots (bpo-45897)",
+)
+def test_num_class_survives_copy_and_pickle():
+    x = NumClass((3, -1, 2, 0, 0, 0, 0, 0, 0, 7))
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is NumClass and y == x and hash(y) == hash(x)
 
 
 # the simple roots r0 = D - f1 - f2 - f3 and ri = fi - f(i+1) of W(E10)

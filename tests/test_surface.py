@@ -236,6 +236,31 @@ def test_slice_solutions_are_effective(num, k):
         assert inner(NumClass(x), DELTA) > 0
 
 
+# the (class, kmax) pairs of the enumerate benchmark, E1 = f1 and
+# E{1,2} = D - f1 - f2: E1+E2 at kmax 2 and 3, E1+E{1,2} at 3 and 4, ...
+ENUMERATE_BASES = (
+    ((0, 1, 1, 0, 0, 0, 0, 0, 0, 0), (2, 3)),  # E1+E2
+    ((1, 0, -1, 0, 0, 0, 0, 0, 0, 0), (3, 4)),  # E1+E{1,2}
+    ((0, 2, 1, 0, 0, 0, 0, 0, 0, 0), (3, 4)),  # 2E1+E2
+    ((0, 1, 1, 1, 0, 0, 0, 0, 0, 0), (4, 5)),  # E1+E2+E3
+    ((0, 3, 1, 0, 0, 0, 0, 0, 0, 0), (4, 5)),  # 3E1+E2
+    ((1, 1, -1, 0, 0, 0, 0, 0, 0, 0), (5,)),  # 2E1+E{1,2}
+    ((0, 4, 1, 0, 0, 0, 0, 0, 0, 0), (5,)),  # 4E1+E2
+    ((2, -1, -2, 0, 0, 0, 0, 0, 0, 0), (5,)),  # E1+2E{1,2}
+)
+
+
+def test_slice_solutions_have_no_repeats():
+    # a leaf whose last coordinate is solved by root = 0 has one candidate,
+    # not two; these slices hold 5,329 such leaves
+    for coords, kmaxes in ENUMERATE_BASES:
+        for kmax in kmaxes:
+            enum = _SliceEnumerator(NumClass(coords), kmax)
+            for k in range(1, kmax + 1):
+                packed = enum.solutions(k)
+                assert len(set(packed)) == len(packed), (coords, kmax, k)
+
+
 # counts measured with the earlier Fraction-based enumerator
 @pytest.mark.parametrize("kmax, count", [(2, 242), (3, 4562), (4, 35282)])
 def test_enumerate_counts_f1_plus_f2(kmax, count):
