@@ -10,9 +10,9 @@ Exit codes: 0 everything ok, 1 mismatch / inconclusive / semantic error,
 command to a machine-readable report of the shape
 {command, status, message, payload}; the default is plain text.  The
 `--json` output is exactly json.dumps(report, indent=2).  enumerate renders
-each class row from one % template over its pairing and coordinates: a
-text line, or with --json the object json.dumps would print, which main
-splices into the dumped report.
+each slice with one % format over its flat coordinates: a row template (a
+text line, or with --json the object json.dumps would print) per class,
+pairing written in; main splices the --json rows into the dumped report.
 
 The argument parser is built once per process, on the first main() call,
 and reused: parse_args returns a fresh namespace on every call.
@@ -21,15 +21,13 @@ and reused: parse_args returns a fresh namespace on every call.
 from __future__ import annotations
 
 import argparse
-import bisect
 import functools
 import json
 import sys
 from dataclasses import dataclass
-from operator import mul
 
-from .lattice import COORDS_FORMAT, NumClass, RANK, gram_times
-from .surface import PicClass, enumerate_isotropic, genus, phi
+from .lattice import COORDS_FORMAT, NumClass, RANK
+from .surface import PicClass, genus, isotropic_slices, phi
 from .cohomology import coh, k3_coh
 from .decomposition import (
     ComponentRecord,
@@ -67,9 +65,9 @@ class Report:
     payload: object
     status: str = "ok"  # ok | inconclusive | error
     message: str = ""
-    # enumerate's class rows, each already laid out as json.dumps(indent=2)
-    # lays out an item of payload["classes"]; main puts them in place of the
-    # empty list that payload["classes"] holds
+    # enumerate's class rows, one ",\n"-joined block per slice, each row laid
+    # out as json.dumps(indent=2) lays out an item of payload["classes"]; main
+    # puts them in place of the empty list that payload["classes"] holds
     json_rows: list[str] | None = None
 
     def as_dict(self) -> dict:
@@ -278,32 +276,20 @@ def _cmd_enumerate(ns) -> tuple[Report, int, list[str]]:
     if ns.kmax < 1:
         raise InputError(f"--kmax must be >= 1, got {ns.kmax}")
     h = _parse_class_or_type(ns.expression)
-    found = enumerate_isotropic(h, ns.kmax)
-    # found is sorted by pairing, so x.H (the dot product of x with G H) is
-    # read at each slice's first class and its end is found by bisection
-    gh = gram_times(h.num.coords)
-
-    def pairing(x: NumClass) -> int:
-        return sum(map(mul, x.coords, gh))
-
+    # one % format per slice: the row template, its pairing k written in,
+    # once per class of the slice
     row = _JSON_ROW if ns.json else _TEXT_ROW
-    rows: list[str] = []
-    lo = 0
-    while lo < len(found):
-        k = pairing(found[lo])
-        hi = bisect.bisect_right(found, k, lo, key=pairing)
-        rows += [row % (k, *x.coords) for x in found[lo:hi]]
-        lo = hi
-    payload = {
-        "class": str(h),
-        "kmax": ns.kmax,
-        "count": len(found),
-        "classes": [],
-    }
+    sep = ",\n" if ns.json else "\n"
+    blocks: list[str] = []
+    count = 0
+    for k, n, flat in isotropic_slices(h, ns.kmax):
+        blocks.append(sep.join([row.replace("%d", str(k), 1)] * n) % flat)
+        count += n
+    payload = {"class": str(h), "kmax": ns.kmax, "count": count, "classes": []}
     if ns.json:
-        return Report("enumerate", payload, json_rows=rows), OK, []
-    lines = [f"{len(found)} primitive isotropic classes with pairing <= {ns.kmax}:"]
-    return Report("enumerate", payload), OK, lines + rows
+        return Report("enumerate", payload, json_rows=blocks), OK, []
+    lines = [f"{count} primitive isotropic classes with pairing <= {ns.kmax}:"]
+    return Report("enumerate", payload), OK, lines + blocks
 
 
 # ---------------------------------------------------------------------------

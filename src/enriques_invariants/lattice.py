@@ -65,7 +65,7 @@ def gram_times(v: list[int] | tuple[int, ...]) -> list[int]:
     return [10 * v0 + 3 * s] + [t - vi for vi in v[1:]]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class NumClass:
     """Numerical divisor class: integer coordinates in the fixed basis.
 
@@ -74,13 +74,18 @@ class NumClass:
     those checks and is only for coordinates known to be a tuple of ten
     integers, such as the results of arithmetic on valid classes.
 
-    The class has slots and no instance __dict__: an enumeration builds
-    one NumClass per class it finds, and a slotted instance is about a
-    third of the size of one with a dict, and quicker to make.  Being
-    frozen, it refuses assignment, so _of writes the coords slot directly
-    through the slot's descriptor.
+    The class has slots and no instance __dict__: a slotted instance is
+    about a third of the size of one with a dict, and quicker to make.
+    Being frozen, it refuses assignment, so _of writes the coords slot
+    directly through the slot's descriptor.  The slots are declared here,
+    not by dataclass(slots=True): that option rebuilds the class, and the
+    __setattr__ it generates names the replaced class, so assigning any
+    other attribute would raise TypeError, not FrozenInstanceError.
+    Copies and unpickling rebuild through _of (__reduce__), since the
+    default restore of slot state would assign through that __setattr__.
     """
 
+    __slots__ = ("coords",)
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -95,6 +100,9 @@ class NumClass:
         obj = object.__new__(cls)
         _set_coords(obj, coords)
         return obj
+
+    def __reduce__(self):
+        return NumClass._of, (self.coords,)
 
     @staticmethod
     def zero() -> "NumClass":

@@ -20,26 +20,29 @@ dominant y, y.(w.f10) >= y.f10 with equality exactly on the orbit of f10
 under the stabilizer of y (Kac, Infinite-dimensional Lie algebras, ch. 3).
 phi's docstring has the proof.
 
-enumerate_isotropic finds all isotropic classes with bounded pairing by
-an exact ellipsoid enumeration in the rank-9 negative-definite orthogonal
-complement of H, done in integers.  Once per H, the complement basis is
-LLL-reduced (Lenstra-Lenstra-Lovasz 1982, in the integral form of Cohen,
-GTM 138, Alg. 2.6.7), and the leading minors d_k and integral Gram-Schmidt
-coefficients lambda_kj that the reduction ends with are the fraction-free
-factorization of the complement form.  A Fincke-Pohst search then scales
-every quantity at its nodes to a common denominator.  It recurses over
-the six outer coordinates and runs the last three as one loop nest, where
-almost all of its nodes are.  It carries each point as one packed
-integer, the ten coordinates in lanes of a fixed width: a lane bound
-proved from H alone (|x_j| <= 16 kmax (H.D)/(H.H)) makes packed solutions
-sort as their coordinate vectors and decode exactly; _SliceEnumerator has
-the proof.
+isotropic_slices finds the primitive isotropic classes with bounded pairing,
+one slice H.x = k at a time, by an exact ellipsoid enumeration in the rank-9
+negative-definite orthogonal complement of H, done in integers.  Once per
+H, the complement basis is LLL-reduced (Lenstra-Lenstra-Lovasz 1982, in
+the integral form of Cohen, GTM 138, Alg. 2.6.7), and the leading minors
+d_k and integral Gram-Schmidt coefficients lambda_kj that the reduction
+ends with are the fraction-free factorization of the complement form.  A
+Fincke-Pohst search then scales every quantity at its nodes to a common
+denominator.  It recurses over the six outer coordinates and runs the last
+three as one loop nest, where almost all of its nodes are.  It carries
+each point as one packed integer, the ten coordinates in lanes of a fixed
+width: a lane bound proved from H alone (|x_j| <= 16 kmax (H.D)/(H.H))
+makes packed solutions sort as their coordinate vectors and decode
+exactly; _SliceEnumerator has the proof.  Imprimitive solutions are found
+as multiples of earlier slices' packed ones, not by a gcd, and each slice
+is decoded in one call into a flat tuple of coordinates.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import mul
 
@@ -339,7 +342,7 @@ class _SliceEnumerator:
     The lane bound holds on every slice 1 <= k <= kmax: each solution x
     has |x_j| <= 16 kmax (H.D)/(H.H).  For H.D > 0 (else replace H and x
     by -H and -x): H lies in the positive cone C+ of D, and x is isotropic
-    with x.H > 0, so x lies in the closure of C+ (see _primitive_layer),
+    with x.H > 0, so x lies in the closure of C+ (see isotropic_slices),
     as do f1..f10; two classes of that closure pair >= 0, so every
     a_i = x.fi >= 0, and with d = x.D = (a_1 + ... + a_10)/3 each
     a_i <= 3d.  By lattice.from_pairings x = (d - 3 a_10) D +
@@ -349,8 +352,8 @@ class _SliceEnumerator:
     H-perp is negative definite, so Cauchy-Schwarz there (reverse
     Cauchy-Schwarz in signature (1, 9)) gives |u.v| < alpha k, and
     d = alpha k + u.v < 2k (H.D)/(H.H).  Lanes are 64 bits when the bound
-    allows it, which decode() reads with one struct call, and wider
-    otherwise.
+    allows it, which decode() reads with one struct call per slice, and
+    wider otherwise.
     """
 
     def __init__(self, h: NumClass, kmax: int):
@@ -404,12 +407,13 @@ class _SliceEnumerator:
         self.bias = sum(1 << (lane - 1 + s) for s in shifts)
         self.packed_x0 = _pack(self.x0g, shifts)
         self.packed_basis = [_pack(b, shifts) for b in basis]
+        self.kmax = kmax
 
     def solutions(self, k: int) -> list[int]:
         """All x with H.x = k and x.x = 0 (no further filtering), packed.
 
-        Valid for k <= kmax; decode() turns them into coordinate tuples,
-        and sorting them sorts those tuples.  Each solution appears once.
+        Valid for k <= kmax; decode() turns them into coordinates, and
+        sorting them sorts the coordinate vectors.  Each appears once.
         """
         if k % self.g:
             return []
@@ -490,54 +494,56 @@ class _SliceEnumerator:
         visit(RANK - 2, rad, [big_l * x for x in cm], q * self.packed_x0)
         return out
 
-    def decode(self, packed: list[int]) -> list[tuple[int, ...]]:
-        """The coordinate tuples of packed solutions, in the same order."""
+    def slices(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+        """(k, n, flat) for each slice k <= kmax with n >= 1 primitive
+        solutions, flat holding their sorted coordinate vectors end to end.
+
+        x on slice k is imprimitive iff x = e y, e > 1, y primitive; then
+        H.y = k/e, so e divides k and y is kept on slice k/e, and every
+        such e y solves slice k.  pack is linear, and injective within the
+        lane bound, so these x are exactly the packed e pack(y).
+        """
+        kept: list[list[int]] = [[]]
+        for k in range(1, self.kmax + 1):
+            layer = self.solutions(k)
+            multiples = {
+                e * p for e in range(2, k + 1) if k % e == 0 for p in kept[k // e]
+            }
+            layer = [p for p in layer if p not in multiples]
+            # a slice past kmax/2 has no multiple on a slice up to kmax
+            kept.append(layer if 2 * k <= self.kmax else [])
+            if layer:
+                layer.sort()
+                yield k, len(layer), self.decode(layer)
+
+    def decode(self, packed: list[int]) -> tuple[int, ...]:
+        """The coordinates of packed solutions, in the same order, end to end."""
         bias = self.bias
         if self.lane == 64:
             # (x + B) ^ B holds each x_j as a two's-complement 64-bit word
-            unpack, size = _WORDS.unpack, _WORDS.size
-            return [unpack(((x + bias) ^ bias).to_bytes(size, "big")) for x in packed]
+            size = 8 * RANK
+            words = b"".join([((x + bias) ^ bias).to_bytes(size, "big") for x in packed])
+            return struct.unpack(">%dq" % (RANK * len(packed)), words)
         mask = (1 << self.lane) - 1
         half = 1 << (self.lane - 1)
         shifts = self.shifts
-        return [
-            tuple([(((x + bias) >> s) & mask) - half for s in shifts]) for x in packed
-        ]
-
-
-_WORDS = struct.Struct(">%dq" % RANK)
+        return tuple([(((x + bias) >> s) & mask) - half for x in packed for s in shifts])
 
 
 def _pack(v: list[int], shifts: list[int]) -> int:
     return sum(c << s for c, s in zip(v, shifts))
 
 
-def _primitive_layer(enum: _SliceEnumerator, k: int) -> list[NumClass]:
-    """Primitive solutions on the slice H.x = k >= 1, sorted by coordinates.
+def isotropic_slices(
+    h: PicClass, kmax: int
+) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """The primitive isotropic nu with nu.D > 0 and 0 < nu.H <= kmax, as
+    the (k, n, flat) of _SliceEnumerator.slices; h and kmax are checked now.
 
-    They are all effective, so no test of x.D is made.  Every caller has
-    required H effective with H.H > 0, so H lies in the positive cone C+
-    that contains D.  A nonzero isotropic x pairs nonzero with every
-    y in C+ (y-perp is negative definite), so by connectedness x.y has
-    one sign on all of C+; x.H = k > 0 makes it positive, and x.D > 0.
-    The packed solutions are sorted before they are decoded (see
-    _SliceEnumerator), and each is decoded once.
-    """
-    layer = enum.solutions(k)
-    layer.sort()
-    gcd = math.gcd
-    return [NumClass._of(x) for x in enum.decode(layer) if gcd(*x) == 1]
-
-
-def enumerate_isotropic(h: PicClass, kmax: int) -> list[NumClass]:
-    """All primitive isotropic nu with nu.D > 0 and 0 < nu.H <= kmax.
-
-    Sorted by (nu.H, coordinates).  Slices with no integral point are
-    silently empty; that happens whenever gcd of the pairing form does not
-    divide k.  nu.D > 0 is not tested: H effective of positive square lies
-    in the positive cone of D, and an isotropic class pairing positively
-    with one class of that cone pairs positively with all of it (see
-    _primitive_layer).
+    nu.D > 0 is not tested: H effective of positive square lies in the
+    positive cone C+ that contains D, and a nonzero isotropic x pairs
+    nonzero with every y in C+ (y-perp is negative definite), so with one
+    sign on all of C+; x.H = k > 0 makes it positive.
     """
     if h.square <= 0:
         raise ValueError("need a class of positive square")
@@ -545,11 +551,16 @@ def enumerate_isotropic(h: PicClass, kmax: int) -> list[NumClass]:
         raise ValueError("need an effective class")
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    enum = _SliceEnumerator(h.num, kmax)
-    found: list[NumClass] = []
-    for k in range(1, kmax + 1):
-        found.extend(_primitive_layer(enum, k))
-    return found
+    return _SliceEnumerator(h.num, kmax).slices()
+
+
+def enumerate_isotropic(h: PicClass, kmax: int) -> list[NumClass]:
+    """isotropic_slices(h, kmax) as one NumClass list, by (nu.H, coordinates)."""
+    return [
+        NumClass._of(flat[i : i + RANK])
+        for _, n, flat in isotropic_slices(h, kmax)
+        for i in range(0, RANK * n, RANK)
+    ]
 
 
 def _replay(a: list[int], word) -> list[int]:

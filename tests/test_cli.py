@@ -145,6 +145,9 @@ _ENUMERATE_INPUTS = [
     ("num[2,-1,0,0,-1,0,0,-1,0,0]", 4),
     ("2E1+2E2+E3", 3),
     ("4E1+3E2+K", 4),
+    # slices 2 and 3 hold only multiples of slice-1 classes: no row block
+    ("3E1+E2", 4),
+    ("4E1+E2", 5),
 ]
 
 
@@ -175,6 +178,8 @@ def test_enumerate_output_is_json_dumps_of_report(expression, kmax):
     want = [f"{len(rows)} primitive isotropic classes with pairing <= {kmax}:"]
     want += [f"  k={r['pairing']}  {r['class']}" for r in rows]
     assert text == "\n".join(want) + "\n"
+    # an empty slice leaves no blank line and no empty row block ("," alone)
+    assert all(line.strip(" ,") for line in (out + text).splitlines())
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import itertools
 import pickle
+import struct
 from fractions import Fraction
 
 import pytest
@@ -220,8 +221,15 @@ def test_num_class_str_matches_join_form(coords):
 def test_num_class_has_slots_and_no_dict():
     x = NumClass((1,) + (0,) * 9)
     assert not hasattr(x, "__dict__")
+    # one pointer slot over a bare object: no __dict__ and no __weakref__
+    assert NumClass.__basicsize__ == object.__basicsize__ + struct.calcsize("P")
     with pytest.raises(dataclasses.FrozenInstanceError):
         x.coords = (0,) * 10
+    # a name that is not a field is refused the same way
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.foo = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del x.coords
     assert x.coords == (1,) + (0,) * 9
 
 
@@ -239,11 +247,6 @@ def test_num_class_keys_a_dict_as_its_coordinates_do(coords):
     assert all(by_class[NumClass(c)] == i for c, i in by_coords.items())
 
 
-@pytest.mark.skipif(
-    not hasattr(NumClass, "__getstate__"),
-    reason="dataclasses of this CPython 3.10 cannot copy or unpickle a frozen "
-    "class with slots (bpo-45897)",
-)
 def test_num_class_survives_copy_and_pickle():
     x = NumClass((3, -1, 2, 0, 0, 0, 0, 0, 0, 7))
     for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):

@@ -25,7 +25,6 @@ from enriques_invariants.surface import (
     CANONICAL,
     PhiResult,
     PicClass,
-    _primitive_layer,
     _reduce_basis,
     _replay,
     _SliceEnumerator,
@@ -35,6 +34,7 @@ from enriques_invariants.surface import (
     half_fiber_form,
     is_effective,
     is_nef,
+    isotropic_slices,
     phi,
 )
 
@@ -136,12 +136,8 @@ def test_phi_of_fundamental_class():
 def _phi_by_enumeration(h):
     """The first non-empty slice H.x = k of the enumerator, and its least
     class by coordinates: phi(H)^2 <= H.H bounds k by isqrt(H.H)."""
-    kmax = math.isqrt(h.square)
-    enum = _SliceEnumerator(h.num, kmax)
-    for k in range(1, kmax + 1):
-        layer = _primitive_layer(enum, k)
-        if layer:
-            return PhiResult(k, PicClass(layer[0], 0))
+    for k, _, flat in isotropic_slices(h, math.isqrt(h.square)):
+        return PhiResult(k, PicClass(NumClass(flat[:RANK]), 0))
     raise AssertionError("no isotropic class below isqrt(H.H)")
 
 
@@ -227,13 +223,18 @@ def test_enumerate_output_contract(num, kmax):
 @example(DELTA, 4)
 @settings(max_examples=40, deadline=None)
 def test_slice_solutions_are_effective(num, k):
-    # _primitive_layer tests no x.D: an isotropic class pairing positively
+    # isotropic_slices tests no x.D: an isotropic class pairing positively
     # with H in the positive cone pairs positively with D
     # solutions come packed; each raw solution, primitive or not, is decoded
     assume(num.square > 0)
     enum = _SliceEnumerator(num, k)
-    for x in enum.decode(enum.solutions(k)):
+    for x in _chunks(enum.decode(enum.solutions(k))):
         assert inner(NumClass(x), DELTA) > 0
+
+
+def _chunks(flat):
+    # the coordinate vectors of a flat decode
+    return [flat[i : i + RANK] for i in range(0, len(flat), RANK)]
 
 
 # the (class, kmax) pairs of the enumerate benchmark, E1 = f1 and
@@ -248,6 +249,42 @@ ENUMERATE_BASES = (
     ((0, 4, 1, 0, 0, 0, 0, 0, 0, 0), (5,)),  # 4E1+E2
     ((2, -1, -2, 0, 0, 0, 0, 0, 0, 0), (5,)),  # E1+2E{1,2}
 )
+
+
+def _assert_filter_keeps_what_gcd_keeps(enum):
+    # slices() against the per-slice filter it replaced: decode every
+    # solution, keep those with gcd 1, and drop the slices left empty
+    want = {}
+    for k in range(1, enum.kmax + 1):
+        xs = _chunks(enum.decode(sorted(enum.solutions(k))))
+        kept = [x for x in xs if math.gcd(*x) == 1]
+        if kept:
+            want[k] = (len(kept), kept)
+    got = {k: (n, _chunks(flat)) for k, n, flat in enum.slices()}
+    assert got == want
+
+
+def test_multiples_filter_keeps_what_gcd_keeps():
+    # the imprimitive solutions on slice k are e times the primitive ones of
+    # slice k/e; 3E1+E2 and 4E1+E2 have slices that hold only such multiples
+    for coords, kmaxes in ENUMERATE_BASES:
+        for kmax in kmaxes:
+            _assert_filter_keeps_what_gcd_keeps(_SliceEnumerator(NumClass(coords), kmax))
+
+
+@given(fiber_combos, st.integers(min_value=1, max_value=4))
+@example(3 * F[1] + F[2], 4)
+@example(2 * (F[1] + E12), 4)
+@settings(max_examples=40, deadline=None)
+def test_multiples_filter_keeps_what_gcd_keeps_on_random_classes(num, kmax):
+    assume(num.square > 0)
+    _assert_filter_keeps_what_gcd_keeps(_SliceEnumerator(num, kmax))
+
+
+def test_isotropic_slices_checks_before_the_first_slice():
+    for h, kmax in ((PicClass(F[1], 0), 2), (PicClass(F[1] + F[2], 0), 0)):
+        with pytest.raises(ValueError):
+            isotropic_slices(h, kmax)
 
 
 def test_slice_solutions_have_no_repeats():
