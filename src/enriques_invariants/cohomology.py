@@ -15,9 +15,9 @@ pins down every cohomology group:
   * everything anti-effective is handled through Serre duality
     h^i(D) = h^{2-i}(K - D).
 
-The decision procedure below is total: every integral class gets an exact
-triple.  k3_coh gives the cohomology of the pullback to the K3 cover,
-which is the componentwise sum over the two torsion lifts.
+coh is that procedure, total on every integral class.  k3_coh, the
+cohomology of the pullback to the K3 cover, is coh summed over the two
+torsion lifts, in closed form from D.D, D.Delta and the divisibility.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .lattice import DELTA, divisibility, inner
+from .lattice import DELTA, divisibility, inner, square_and_degree
 from .surface import CANONICAL, PicClass
 
 
@@ -41,10 +41,9 @@ def chi(d: PicClass) -> int:
     return d.square // 2 + 1
 
 
-# bounded: on 6,000 random types run through h1_tangent_k3 an unbounded
-# cache kept about 26,000 entries for a hit ratio of 0.13 and 43 MiB peak
-# RSS; 4,096 entries keep a hit ratio of 0.09 at 33 MiB, with no measurable
-# change in CPU per type
+# serves the Enriques-level queries (enriques coh) and coh's own Serre-dual
+# step only; k3_coh does not go through it.  It stays a bounded lru_cache
+# because the benchmark reads coh.cache_info()
 @lru_cache(maxsize=4096)
 def coh(d: PicClass) -> CohTriple:
     """Exact (h0, h1, h2) of the line bundle O(D)."""
@@ -73,10 +72,24 @@ def k3_coh(d: PicClass) -> CohTriple:
 
     The pushforward of the structure sheaf splits off both torsion lifts,
     so each h^i is coh(d).h^i + coh(d + K).h^i.  Independent of d.eps.
+    For the numerical class x that sum is, by coh's cases:
+      * x = 0: (1, 0, 0) + (0, 0, 1);
+      * x.x <= -2: twice (0, -x.x/2 - 1, 0);
+      * x.x > 0: twice (x.x/2 + 1, 0, 0) when x.Delta > 0;
+      * x = l*E0, l the gcd: h0 = floor(l/2) + 1 and ceil(l/2) with
+        h1 = h0 - 1 each, so (l + 1, l - 1, 0) when x.Delta > 0;
+    and Serre duality swaps h0 and h2 when x.Delta < 0 (x.Delta = 0 only
+    for x = 0 once x.x >= 0).
     """
-    a = coh(d)
-    b = coh(d + CANONICAL)
-    return CohTriple(a.h0 + b.h0, a.h1 + b.h1, a.h2 + b.h2)
+    x = d.num
+    if not x:
+        return CohTriple(1, 0, 1)
+    sq, side = square_and_degree(x)
+    if sq <= -2:
+        return CohTriple(0, -sq - 2, 0)
+    l = divisibility(x) if sq == 0 else 1  # a positive square acts as l = 1
+    top, h1 = sq + l + 1, l - 1
+    return CohTriple(top, h1, 0) if side > 0 else CohTriple(0, h1, top)
 
 
 @dataclass(frozen=True)

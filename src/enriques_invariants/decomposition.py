@@ -22,8 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
+from itertools import combinations
 
-from .lattice import NumClass, isotropic_generator, two_isotropic_generator
+from .lattice import NumClass, from_pairings
+from .lattice import isotropic_generator, two_isotropic_generator
 from .surface import PicClass, phi as _phi
 
 
@@ -66,6 +68,13 @@ class Symbol:
         return two_isotropic_generator(*self.indices)
 
 
+# the 55 symbols keyed by their indices, E1..E10 then E{i,j} for i < j in
+# lexicographic order; parse hands these objects out
+_SYMBOLS = {
+    ix: Symbol(ix) for ix in [*zip(range(1, 11)), *combinations(range(1, 11), 2)]
+}
+
+
 def pairing(s: Symbol, t: Symbol) -> int:
     """Intersection number of two symbols, computed combinatorially.
 
@@ -103,6 +112,26 @@ class DecompositionType:
                 raise ValueError(f"duplicate symbol {s.text}")
             seen.add(s)
 
+    @cached_property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """The n x n matrix of symbol pairings, each pair computed once and
+        kept on the type; the diagonal is 0."""
+        syms = [s for _, s in self.terms]
+        rows = [[0] * len(syms) for _ in syms]
+        for (i, s), (j, t) in combinations(enumerate(syms), 2):
+            rows[i][j] = rows[j][i] = pairing(s, t)
+        return tuple(map(tuple, rows))
+
+    @cached_property
+    def realized(self) -> PicClass:
+        """The realized class from its pairings a_i = H.f_i, in one pass:
+        Ej.fi = 1 - [i = j] and E{j,k}.fi = 1 + [i = j] + [i = k]."""
+        a = [sum(c for c, _ in self.terms)] * 10
+        for c, s in self.terms:
+            for k in s.indices:
+                a[k - 1] += c if len(s.indices) == 2 else -c
+        return PicClass(from_pairings(a), self.eps)
+
     @property
     def text(self) -> str:
         parts = [(f"{c}" if c > 1 else "") + s.text for c, s in self.terms]
@@ -135,8 +164,9 @@ def parse(text: str) -> DecompositionType:
         return int(text[start:i]), i
 
     def make_symbol(ix: tuple[int, ...], at: int) -> Symbol:
-        try:
-            return Symbol(tuple(sorted(ix)) if len(ix) == 2 else ix)
+        ix = tuple(sorted(ix)) if len(ix) == 2 else ix
+        try:  # a bad index raises through Symbol's own checks
+            return _SYMBOLS.get(ix) or Symbol(ix)
         except ValueError as exc:
             raise ParseError(str(exc), at) from None
 
@@ -209,10 +239,7 @@ def parse(text: str) -> DecompositionType:
 
 
 def realize(d: DecompositionType) -> PicClass:
-    num = NumClass.zero()
-    for c, s in d.terms:
-        num = num + c * s.realize()
-    return PicClass(num, d.eps)
+    return d.realized
 
 
 def validate_simple(d: DecompositionType) -> tuple[bool, str]:
@@ -220,13 +247,7 @@ def validate_simple(d: DecompositionType) -> tuple[bool, str]:
     n = len(d.terms)
     if n < 2:
         return False, "single-symbol expressions realize to square 0, not a polarization"
-    syms = [s for _, s in d.terms]
-    links = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if pairing(syms[i], syms[j]) == 2
-    ]
+    links = [(i, j) for i in range(n) for j in range(i + 1, n) if d.gram[i][j] == 2]
     if not links:
         if n == 9:
             return False, "nine pairwise-transverse symbols is not an admissible shape"
@@ -247,10 +268,9 @@ def canonical_type(d: DecompositionType):
     """Relabeling invariant: two types get equal values iff some bijection
     of their symbols preserves coefficients and pairwise pairings (and the
     torsion bits agree)."""
-    rows = []
-    for c, s in d.terms:
-        profile = sorted((pairing(s, t), ct) for ct, t in d.terms if t != s)
-        rows.append((c, tuple(profile)))
+    coeffs = [c for c, _ in d.terms]
+    # a row's diagonal entry (0, c) sorts before every pairing 1 or 2
+    rows = [(c, tuple(sorted(zip(r, coeffs))[1:])) for c, r in zip(coeffs, d.gram)]
     return tuple(sorted(rows)), d.eps
 
 
@@ -320,7 +340,7 @@ def _records() -> tuple[ComponentRecord, ...]:
     return tuple(recs)
 
 
-_E1, _E2, _E3, _E12 = Symbol((1,)), Symbol((2,)), Symbol((3,)), Symbol((1, 2))
+_E1, _E2, _E3, _E12 = (_SYMBOLS[ix] for ix in ((1,), (2,), (3,), (1, 2)))
 
 
 def _phi1_record(g: int) -> ComponentRecord:

@@ -65,6 +65,12 @@ def gram_times(v: list[int] | tuple[int, ...]) -> list[int]:
     return [10 * v0 + 3 * s] + [t - vi for vi in v[1:]]
 
 
+def square_and_degree(x: "NumClass") -> tuple[int, int]:
+    """(x.x, x.D) from one gram_times."""
+    g = gram_times(x.coords)
+    return sum(map(mul, x.coords, g)), g[0]
+
+
 @dataclass(frozen=True)
 class NumClass:
     """Numerical divisor class: integer coordinates in the fixed basis.

@@ -35,17 +35,16 @@ numerically against the actual class rather than trusting the shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from functools import reduce
+from itertools import combinations
+from operator import or_
 
-from .lattice import (
-    NumClass,
-    divisibility,
-    inner,
-    isotropic_generator,
-)
-from .surface import PicClass, enumerate_isotropic, is_effective, is_nef
+from .lattice import NumClass, divisibility, inner, isotropic_generator
+from .lattice import square_and_degree
+from .surface import PicClass, enumerate_isotropic, is_nef
 from .cohomology import MultCert, certify_mult_surjective, k3_coh
 from .decomposition import (
+    _SYMBOLS,
     ComponentRecord,
     DatabaseError,
     DecompositionType,
@@ -108,11 +107,12 @@ def _sym_class(s: Symbol) -> PicClass:
 
 
 def _check_half_fiber(e: PicClass, name: str) -> None:
-    if not e.num or inner(e.num, e.num) != 0:
+    sq, side = square_and_degree(e.num)
+    if not e.num or sq != 0:
         raise ValueError(f"{name} must be a nonzero isotropic class")
     if divisibility(e.num) != 1:
         raise ValueError(f"{name} must be primitive")
-    if not is_effective(e):
+    if side <= 0:  # is_effective on a nonzero isotropic class
         raise ValueError(f"{name} must be effective")
 
 
@@ -125,7 +125,8 @@ def _check_pair(
     _check_half_fiber(b, names[1])
     if inner(a.num, b.num) != k:
         raise ValueError(f"need {names[0]}.{names[1]} = {k}")
-    if h.square <= 0 or not is_nef(h):
+    sq, side = square_and_degree(h.num)
+    if sq <= 0 or side <= 0:  # is_nef on a class of positive square
         raise ValueError("H must be big and nef")
 
 
@@ -351,26 +352,42 @@ _PATTERNS: tuple[tuple[str, tuple[int, ...], _SlotPairs, bool, _SlotPairs | None
 
 
 def _assignments(d: DecompositionType, mins, links, pure):
-    syms = [s for _, s in d.terms]
-    coeffs = [c for c, _ in d.terms]
-    n = len(syms)
-    k = len(mins)
-    if pure and n != k:
+    """Symbol lists filling the pattern's slots, by pruned backtracking.
+
+    A slot's bit mask holds the terms it may take: coefficient >= mins[j],
+    pairing as needed (2 on a link, else 1) with each placed term, so no
+    placed term (a term pairs 0 with itself).  A branch leaving a later
+    slot no term, or the later slots fewer terms than slots, is cut.  Bits
+    are read low to high, so the filtered permutations(range(n), k) come
+    in the same lexicographic order: the first exact bound is unchanged.
+    """
+    terms = d.terms
+    n, k = len(terms), len(mins)
+    if n < k or (pure and n != k):
         return
-    for slots in permutations(range(n), k):
-        if any(coeffs[slots[i]] < mins[i] for i in range(k)):
-            continue
-        good = True
-        for i in range(k):
-            for j in range(i + 1, k):
-                need = 2 if (i, j) in links else 1
-                if pairing(syms[slots[i]], syms[slots[j]]) != need:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            yield [syms[t] for t in slots]
+    # bit u of twos[t] (ones[t]) is set when terms t and u pair to 2 (to 1)
+    twos = [sum(1 << u for u, p in enumerate(row) if p == 2) for row in d.gram]
+    ones = [((1 << n) - 1) ^ w ^ (1 << t) for t, w in enumerate(twos)]
+    linked = [[(j, i) in links for i in range(j + 1, k)] for j in range(k)]
+    slots: list[int] = []
+
+    def fill(masks: list[int]):
+        j = len(slots)
+        m = masks[0]
+        while m:
+            low = m & -m
+            m ^= low
+            t = low.bit_length() - 1
+            if j + 1 == k:
+                yield [terms[s][1] for s in slots] + [terms[t][1]]
+                continue
+            rest = [a & (twos[t] if l else ones[t]) for a, l in zip(masks[1:], linked[j])]
+            if all(rest) and reduce(or_, rest).bit_count() >= k - j - 1:
+                slots.append(t)
+                yield from fill(rest)
+                slots.pop()
+
+    yield from fill([sum(1 << t for t, (c, _) in enumerate(terms) if c >= m) for m in mins])
 
 
 # The five-transverse search draws its F's from a fixed pool of 55 classes,
@@ -379,16 +396,13 @@ def _assignments(d: DecompositionType, mins, links, pure):
 # the certificate.  Bit n of _FIVE_TRANSVERSE[s] is set when _FIVE_POOL[n]
 # pairs to 1 with the realization of s; the pairing is symmetric, so each
 # pair of pool members is paired once.
-_FIVE_SYMBOLS = tuple(Symbol((i,)) for i in range(1, 11)) + tuple(
-    Symbol((i, j)) for i in range(1, 10) for j in range(i + 1, 11)
-)
-_FIVE_POOL = tuple(s.realize() for s in _FIVE_SYMBOLS)
+_FIVE_POOL = tuple(s.realize() for s in _SYMBOLS.values())
 _masks = [0] * len(_FIVE_POOL)
 for _m, _n in combinations(range(len(_FIVE_POOL)), 2):
     if inner(_FIVE_POOL[_m], _FIVE_POOL[_n]) == 1:
         _masks[_m] |= 1 << _n
         _masks[_n] |= 1 << _m
-_FIVE_TRANSVERSE = dict(zip(_FIVE_SYMBOLS, _masks))
+_FIVE_TRANSVERSE = dict(zip(_SYMBOLS.values(), _masks))
 del _masks, _m, _n
 
 
@@ -516,9 +530,9 @@ def phi2_triple_family_total(k: int) -> int:
 def _closed_form(d: DecompositionType) -> H1Interval | None:
     if len(d.terms) != 2:
         return None
-    (c1, s1), (c2, s2) = d.terms
-    if pairing(s1, s2) != 1:
+    if d.gram[0][1] != 1:
         return None
+    (c1, _), (c2, _) = d.terms
     a, b = sorted((c1, c2))
     if a == 1:
         value = phi1_family_total(b + 1)

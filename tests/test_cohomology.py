@@ -13,11 +13,13 @@ from enriques_invariants.cohomology import (
     coh,
     k3_coh,
 )
+from enriques_invariants.decomposition import parse
 from enriques_invariants.lattice import (
     NumClass,
     isotropic_generator,
     two_isotropic_generator,
 )
+from enriques_invariants.moduli import h1_tangent_k3
 from enriques_invariants.surface import CANONICAL, PicClass
 
 F = [None] + [isotropic_generator(i) for i in range(1, 11)]
@@ -167,3 +169,68 @@ def test_coh_cache_stays_within_its_bound_after_a_sweep():
     assert coh.cache_info().currsize <= bound
     # an evicted class is recomputed to the same triple
     assert coh(first) == want
+
+
+def _sum_over_lifts(d):
+    a, b = coh(d), coh(d + CANONICAL)
+    return (a.h0 + b.h0, a.h1 + b.h1, a.h2 + b.h2)
+
+
+# the 55 primitive isotropic classes f1..f10 and D - fi - fj
+ISOTROPIC = F[1:] + [
+    two_isotropic_generator(i, j) for i in range(1, 10) for j in range(i + 1, 11)
+]
+isotropic_multiples = st.builds(
+    lambda e, l, eps: PicClass(l * e, eps),
+    st.sampled_from(ISOTROPIC),
+    st.integers(min_value=-6, max_value=6),
+    st.integers(min_value=0, max_value=1),
+)
+
+
+@given(st.one_of(grid_classes, isotropic_multiples))
+@settings(max_examples=300)
+def test_k3_coh_is_coh_summed_over_both_lifts(d):
+    assert as_tuple(k3_coh(d)) == _sum_over_lifts(d)
+
+
+@pytest.mark.parametrize(
+    "num, case",
+    [
+        (NumClass((0,) * 10), "zero"),
+        (F[1] + F[2] - F[3] - F[4], "square -4"),
+        (F[1] - F[2], "square -2"),
+        (F[1] + F[2], "square 2, effective side"),
+        (-(F[1] + F[2]), "square 2, dual side"),
+        (3 * F[1] + 2 * E12, "square 24, effective side"),
+        (-(3 * F[1] + 2 * E12), "square 24, dual side"),
+    ],
+)
+@pytest.mark.parametrize("eps", [0, 1])
+def test_k3_coh_closed_form_cases(num, case, eps):
+    d = PicClass(num, eps)
+    assert as_tuple(k3_coh(d)) == _sum_over_lifts(d), case
+
+
+@pytest.mark.parametrize("l", range(-6, 7))
+@pytest.mark.parametrize("e", [F[1], F[10], E12, two_isotropic_generator(9, 10)])
+def test_k3_coh_of_isotropic_multiples(e, l):
+    for eps in (0, 1):
+        d = PicClass(l * e, eps)
+        assert as_tuple(k3_coh(d)) == _sum_over_lifts(d)
+    if l > 0:
+        assert as_tuple(k3_coh(d)) == (l + 1, l - 1, 0)
+    elif l < 0:
+        assert as_tuple(k3_coh(d)) == (0, -l - 1, -l + 1)
+
+
+def test_h1_driver_leaves_the_coh_cache_untouched():
+    # k3_coh is closed form, so a sweep of the driver neither reads nor
+    # grows the Enriques-level cache
+    types = ["4E1+3E2", "2E1+2E{1,2}", "E1+E2+E3+E4", "3E1+2E2+E3+E{4,5}+K"]
+    types += ["2E1+E2+E3+E4+E5+E6", "E1+E{1,2}+E{1,3}", "3E{1,2}+2E1"]
+    coh(PicClass(F[1] + F[2], 0))
+    before = coh.cache_info()
+    for text in types:
+        h1_tangent_k3(parse(text))
+    assert coh.cache_info() == before

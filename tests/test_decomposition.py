@@ -63,6 +63,40 @@ def test_parse_rejects(bad):
         parse(bad)
 
 
+# the messages as the parser wrote them before it drew its symbols from the
+# interned table; a bad index still fails through Symbol's own checks
+PARSE_ERRORS = {
+    "": "empty expression (at position 0)",
+    "0E1": "zero coefficient (at position 0)",
+    "E0": "symbol indices must be in 1..10 (at position 0)",
+    "E11": "symbol indices must be in 1..10 (at position 0)",
+    "E1+E1": "duplicate symbol E1 (at position 3)",
+    "E1+": "dangling '+' (at position 3)",
+    "2(E1+E2)": "expected a symbol E<i> or E{i,j} (at position 1)",
+    "K+E1": "need at least one symbol term before K (at position 0)",
+    "E1+K+K": "K must be the last addend (at position 4)",
+    "E{1,1}": "pair indices must be distinct and increasing (at position 0)",
+}
+
+
+@pytest.mark.parametrize("bad", sorted(PARSE_ERRORS))
+def test_parse_error_text_is_unchanged(bad):
+    with pytest.raises(ParseError) as exc:
+        parse(bad)
+    assert str(exc.value) == PARSE_ERRORS[bad]
+    assert exc.value.position == int(PARSE_ERRORS[bad].rsplit(" ", 1)[1][:-1])
+
+
+def test_parse_hands_out_the_interned_symbols():
+    table = decomposition._SYMBOLS
+    assert len(table) == 55
+    assert all(s.indices == ix for ix, s in table.items())
+    d = parse("3E10+E{2,7}+E8,3+E{9,1}")
+    for _, s in d.terms:
+        assert s is table[s.indices]
+    assert parse("E5+E6").terms[0][1] is parse("2E5+E7").terms[0][1]
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse("E1+")

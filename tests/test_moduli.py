@@ -1,6 +1,7 @@
 """Tests for the twisted-tangent-bundle bounds and moduli fiber dimensions."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -638,3 +639,72 @@ def test_driver_and_lookup_invariant_under_relabelling(d, perm, data):
     a, b = h1_tangent_k3(d), h1_tangent_k3(e)
     assert (a.lower, a.upper) == (b.lower, b.upper)
     assert _label_or_missing(d) == _label_or_missing(e)
+
+
+def _assignments_by_permutations(d, mins, links, pure):
+    # the slot search before backtracking: every k-permutation of the
+    # term indices, filtered by coefficient minimums and pairings
+    syms = [s for _, s in d.terms]
+    coeffs = [c for c, _ in d.terms]
+    n, k = len(syms), len(mins)
+    if pure and n != k:
+        return []
+    pair = {(a, b): pairing(syms[a], syms[b]) for a in range(n) for b in range(n)}
+    need = {(i, j): 2 if (i, j) in links else 1 for i in range(k) for j in range(i + 1, k)}
+    out = []
+    for slots in itertools.permutations(range(n), k):
+        if any(coeffs[slots[i]] < mins[i] for i in range(k)):
+            continue
+        if all(pair[slots[i], slots[j]] == w for (i, j), w in need.items()):
+            out.append([syms[t] for t in slots])
+    return out
+
+
+def _random_simple_types(rng, n, count):
+    # n terms: up to two pair symbols E{i,j}, the rest single symbols, in a
+    # random term order, coefficients 1..5; only the simple ones are kept
+    out = []
+    pairs = list(itertools.combinations(range(1, 11), 2))
+    while len(out) < count:
+        k = rng.randint(0, min(2, n))
+        if n - k > 10:
+            continue
+        syms = [Symbol((i,)) for i in rng.sample(range(1, 11), n - k)]
+        syms += [Symbol(p) for p in rng.sample(pairs, k)]
+        rng.shuffle(syms)
+        d = DecompositionType(
+            tuple((rng.randint(1, 5), s) for s in syms), rng.randint(0, 1)
+        )
+        if validate_simple(d)[0]:
+            out.append(d)
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_assignments_match_the_permutation_filter(n):
+    # the oracle walks all n!/(n-k)! slot tuples, so fewer types for large n
+    types = _random_simple_types(random.Random(n), n, 12 if n <= 7 else 4)
+    for d in types:
+        for _, mins, links, pure, _ in moduli._PATTERNS:
+            got = list(moduli._assignments(d, mins, links, pure))
+            assert got == _assignments_by_permutations(d, mins, links, pure), d.text
+
+
+def test_assignments_keep_lexicographic_slot_order():
+    # both E3 and E2 could take the second double-anchor slot after 2E1;
+    # term 0 (E3) comes first, and with it the certificate's F2
+    d = parse("E3+E2+2E1+E4")
+    first = next(moduli._assignments(d, *moduli._PATTERNS[1][1:4]))
+    assert [s.text for s in first] == ["E1", "E3", "E2", "E4"]
+    iv = h1_tangent_k3(d)
+    assert iv.certificate.note == "pattern double-anchor via double-cover"
+    assert dict(iv.certificate.aux)["F2"] == str(half_fiber(3))
+
+
+def test_realize_is_the_sum_of_its_terms():
+    rng = random.Random(7)
+    for n in range(2, 11):
+        for d in _random_simple_types(rng, n, 5):
+            num = sum((c * s.realize() for c, s in d.terms), F[1] - F[1])
+            assert realize(d) == PicClass(num, d.eps), d.text
+            assert realize(d) is realize(d)
